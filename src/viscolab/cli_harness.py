@@ -18,53 +18,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 
 from . import constitutive, diagnostics, pde_solver, wellposedness
 from .constitutive import ConstitutiveModel, EnergyModel, ViscosityModel
-from .errors import (DegenerateQ, DomainError, ParseError, RangeError,
-                     Unsupported, ViscolabError)
+from .errors import (DegenerateQ, DomainError, InvalidConfig, ParseError,
+                     RangeError, Unsupported, ViscolabError)
 
 COMMANDS = ('check', 'korn', 'simulate', 'convergence')
 PRESETS = ('rest', 'sinusoidal', 'compression', 'reflected')
-
-# key -> (type tag, default); None defaults mean "derived at use site"
-_KEY_TABLE = {
-    'command': ('str', None),
-    'energy': ('str', 'w0'),
-    'energy_q': ('float', 2.0),
-    'viscosity': ('str', 'z0doubleprime'),
-    'viscosity_m': ('int', 0),
-    'dim': ('int', 1),
-    'cells': ('int', 64),
-    'dt': ('float', 1e-3),
-    't_end': ('float', 1.0),
-    'picard_tol': ('float', 1e-10),
-    'picard_max': ('int', 5),
-    'det_floor': ('float', 1e-3),
-    'linear_tol': ('float', 1e-10),
-    'p_norm': ('float', None),
-    'save_every': ('int', 1),
-    'preset': ('str', 'rest'),
-    'amplitude': ('float', 0.1),
-    'mode': ('int', 1),
-    'rate': ('float', 10.0),
-    'out': ('str', 'out'),
-    'seed': ('int', 0),
-    'f0': ('floats', None),
-    'q0': ('floats', None),
-    'angular_resolution': ('int', 360),
-    'refine_iters': ('int', 5),
-    'num_directions': ('int', 360),
-    'num_fields': ('int', 100),
-    'max_modes': ('int', 8),
-    'levels': ('int', 3),
-    'fine_cells': ('int', None),
-    'spatial_dt': ('float', None),
-    'conv_t_end': ('float', None),
-}
 
 
 @dataclass(frozen=True)
@@ -107,6 +72,21 @@ class RunSpec:
         return key in self.explicit
 
 
+_TYPE_TAGS = {str: 'str', int: 'int', float: 'float', tuple: 'floats'}
+
+
+def _type_tag(annotation):
+    """Parser tag of a RunSpec field type; 'float | None' tags as 'float'."""
+    kinds = [t for t in get_args(annotation) or (annotation,) if t is not type(None)]
+    return _TYPE_TAGS[kinds[0]]
+
+
+# key -> (type tag, default) in RunSpec field order; None defaults mean
+# "derived at use site"
+_KEY_TABLE = {f.name: (_type_tag(f.type), None if f.default is MISSING else f.default)
+              for f in fields(RunSpec) if f.name != 'explicit'}
+
+
 def _convert(key, raw, line_no):
     kind, _ = _KEY_TABLE[key]
     try:
@@ -139,6 +119,8 @@ def _validate(values):
     need('cells', values['cells'] >= 4, "must be at least 4")
     for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
         need(key, values[key] > 0.0, "must be positive")
+    need('t_end', pde_solver.whole_steps(values['t_end'], values['dt']) is not None,
+         f"must be a whole number of steps dt = {values['dt']!r}")
     need('picard_max', values['picard_max'] >= 1, "must be at least 1")
     if values['p_norm'] is not None:
         need('p_norm', values['p_norm'] > values['dim'] + 2,
@@ -534,6 +516,8 @@ def cmd_convergence(spec):
         # dominate the fixed spatial floor
         temporal_err = [one(fine_cells, base_dt / 2 ** lv, 2.0 * t_end)
                         for lv in range(spec.levels)]
+    except InvalidConfig:
+        raise       # e.g. conv_t_end not a whole number of steps: input error
     except ViscolabError:
         return 4
     spatial_rates = _rate_table(spatial_err)

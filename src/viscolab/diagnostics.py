@@ -12,7 +12,7 @@ import numpy as np
 
 from .constitutive import dissipation_density, energy
 from .errors import MismatchedSampling
-from .pde_solver import gradient_field
+from .pde_solver import cell_average, gradient_field
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,9 @@ class ThetaReport:
 
 
 def _to_centers(grid, nodal):
-    if grid.dim == 1:
-        return 0.5 * (nodal[1:] + nodal[:-1])
-    return 0.25 * (nodal[1:, 1:] + nodal[:-1, 1:]
-                   + nodal[1:, :-1] + nodal[:-1, :-1])
+    avg = cell_average(grid.dim, grid.cells)
+    return (avg @ nodal.reshape(grid.num_nodes, -1)).reshape(
+        grid.cell_shape + nodal.shape[grid.dim:])
 
 
 def energy_report(traj, model, grid, forcing=None):

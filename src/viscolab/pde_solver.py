@@ -1,17 +1,21 @@
 """Structured-grid discretization of the viscoelastic momentum balance.
 
 The domain is the unit interval (1D) or unit square (2D) with clamped
-boundary nodes.  Deformation gradients live at cell centers via averaged
-corner differences; the stress divergence is the exact negative adjoint of
-that gradient, so the pair forms a summation-by-parts couple.  Time stepping
-is semi-implicit: the elastic stress is explicit, the viscous stress is
+boundary nodes.  Every discrete operator is built from one sparse matrix,
+the cell gradient G (see clamped_gradient): it maps nodal vectors to
+gradients at cell centers by averaged corner differences, the Kronecker
+product of a 1D difference along one axis with 1D averages along the
+others.  The gradient is G u, the stress divergence is -G_I^T P on the
+interior dofs, and the viscous operator is G_I^T blockdiag(M) G_I, so the
+summation-by-parts pair holds by construction.  Time stepping is
+semi-implicit: the elastic stress is explicit, the viscous stress is
 linearized around the frozen tangent D_Q Z and refrozen in a short Picard
 loop inside each step.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +27,7 @@ from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
 
 DENSE_FALLBACK_MAX = 2000
 CLAMP_TOL = 1e-10
+STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,17 @@ class FieldState:
     v: np.ndarray
 
 
+def whole_steps(t_end, dt):
+    """The number of steps dt that make up t_end, or None if it is not whole.
+
+    t_end / dt may miss an integer by STEP_TOL relative, to absorb the
+    roundoff of decimal step sizes such as 0.1 / 1e-3.
+    """
+    ratio = t_end / dt
+    steps = round(ratio)
+    return steps if abs(ratio - steps) <= STEP_TOL * ratio else None
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -107,6 +123,9 @@ class SolverConfig:
             raise InvalidConfig("det_floor must be positive")
         if self.save_every < 1:
             raise InvalidConfig("save_every must be at least 1")
+        if whole_steps(self.t_end, self.dt) is None:
+            raise InvalidConfig(f"t_end = {self.t_end!r} is not a whole number "
+                                f"of steps dt = {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -158,92 +177,76 @@ def init_state(grid, xi0, xi1, det_floor):
     return FieldState(0.0, xi, v)
 
 
+def _difference_average(cells):
+    """1D factors on cells + 1 nodes: difference quotient and midpoint average."""
+    lo = sp.eye(cells, cells + 1, format='csr')
+    hi = sp.eye(cells, cells + 1, k=1, format='csr')
+    return (hi - lo) * cells, 0.5 * (lo + hi)
+
+
+def _kron_all(factors):
+    return reduce(lambda a, b: sp.kron(a, b, format='csr'), factors)
+
+
+@lru_cache(maxsize=8)
+def cell_average(dim, cells):
+    """Sparse map from row-major nodal values to their cell-center averages."""
+    _, avg = _difference_average(cells)
+    return _kron_all([avg] * dim)
+
+
+@lru_cache(maxsize=8)
+def clamped_gradient(dim, cells):
+    """The cell gradient G as sparse matrices, built once per grid.
+
+    G maps row-major nodal dofs (node, r) to row-major cell gradients
+    (cell, r, c).  Its scalar part along axis c is the Kronecker product of
+    the 1D difference on axis c with the 1D average on every other axis,
+    i.e. the averaged corner difference.  Returns (G, G_I, G_I^T, dofs),
+    where dofs are the interior (unclamped) nodal dofs and G_I = G[:, dofs].
+    The returned arrays are shared between callers and must not be mutated.
+    """
+    diff, avg = _difference_average(cells)
+    n = dim
+    eye_r = np.arange(n)
+    g = sum(sp.kron(_kron_all([diff if a == c else avg for a in range(n)]),
+                    sp.csr_matrix((np.ones(n), (eye_r * n + c, eye_r)),
+                                  shape=(n * n, n)), format='csr')
+            for c in range(n))
+    interior = np.nonzero(~Grid(dim, cells).boundary_mask().reshape(-1))[0]
+    dofs = (interior[:, None] * n + eye_r).reshape(-1)
+    g_i = g[:, dofs].tocsr()
+    return g, g_i, g_i.T.tocsr(), dofs
+
+
 def gradient_field(grid, nodal):
-    """Cell-centered gradient by averaged corner differences.
+    """Cell-centered gradient G u by averaged corner differences.
 
     Exact for affine fields; second-order accurate at cell centers.
     Returns shape cell_shape + (dim, dim) with F[..., r, c] = d xi_r / d X_c.
     """
-    h = grid.spacing
-    if grid.dim == 1:
-        d = (nodal[1:] - nodal[:-1]) / h
-        return d[:, :, None]
-    dx = (nodal[1:, :-1] - nodal[:-1, :-1] + nodal[1:, 1:] - nodal[:-1, 1:]) / (2 * h)
-    dy = (nodal[:-1, 1:] - nodal[:-1, :-1] + nodal[1:, 1:] - nodal[1:, :-1]) / (2 * h)
-    return np.stack([dx, dy], axis=-1)
+    g = clamped_gradient(grid.dim, grid.cells)[0]
+    n = grid.dim
+    return (g @ nodal.reshape(-1)).reshape(grid.cell_shape + (n, n))
 
 
 def stress_divergence(grid, cell_stress):
-    """Row-wise divergence: exact negative adjoint of gradient_field.
+    """Row-wise divergence -G_I^T P: exact negative adjoint of gradient_field.
 
     <div P, w>_nodes = -<P, grad w>_cells for every clamped w.  Boundary
-    rows are zeroed (clamped degrees of freedom carry no equation).
+    rows are zero (clamped degrees of freedom carry no equation).
     """
-    h = grid.spacing
-    if grid.dim == 1:
-        acc = np.zeros((grid.cells + 1, 1))
-        p = cell_stress[:, :, 0]
-        acc[1:] += p / h
-        acc[:-1] -= p / h
-    else:
-        acc = np.zeros((grid.cells + 1, grid.cells + 1, 2))
-        px = cell_stress[..., 0] / (2 * h)
-        py = cell_stress[..., 1] / (2 * h)
-        acc[1:, :-1] += px
-        acc[:-1, :-1] -= px
-        acc[1:, 1:] += px
-        acc[:-1, 1:] -= px
-        acc[:-1, 1:] += py
-        acc[:-1, :-1] -= py
-        acc[1:, 1:] += py
-        acc[1:, :-1] -= py
-    # acc accumulated the plain transpose G^T P; the adjoint pair needs -G^T
-    div = -acc
-    div[grid.boundary_mask()] = 0.0
-    return div
-
-
-@lru_cache(maxsize=8)
-def _assembly_pattern(dim, cells):
-    """Precomputed element-to-interior-DOF scatter pattern for a grid."""
-    grid = Grid(dim, cells)
-    h = grid.spacing
-    if dim == 1:
-        corners = np.stack([np.arange(cells), np.arange(cells) + 1], axis=1)
-        gcoef = np.array([[-1.0 / h], [1.0 / h]])
-    else:
-        ii, jj = np.meshgrid(np.arange(cells), np.arange(cells), indexing='ij')
-        flat = lambda a, b: a * (cells + 1) + b
-        corners = np.stack([flat(ii, jj), flat(ii + 1, jj),
-                            flat(ii, jj + 1), flat(ii + 1, jj + 1)],
-                           axis=-1).reshape(-1, 4)
-        s = 1.0 / (2 * h)
-        gcoef = np.array([[-s, -s], [s, -s], [-s, s], [s, s]])
-    bmask = grid.boundary_mask().reshape(-1)
-    interior = np.nonzero(~bmask)[0]
-    dof_map = -np.ones(grid.num_nodes * dim, dtype=np.int64)
-    for comp in range(dim):
-        dof_map[interior * dim + comp] = np.arange(len(interior)) * dim + comp
-    ncorner = corners.shape[1]
-    ldof = ncorner * dim
-    elem_dofs = (corners[:, :, None] * dim
-                 + np.arange(dim)[None, None, :]).reshape(-1, ldof)
-    rows = np.repeat(elem_dofs, ldof, axis=1).reshape(-1)
-    cols = np.tile(elem_dofs, (1, ldof)).reshape(-1)
-    rows_i = dof_map[rows]
-    cols_i = dof_map[cols]
-    keep = (rows_i >= 0) & (cols_i >= 0)
-    n_int = len(interior) * dim
-    return gcoef, interior, rows_i[keep], cols_i[keep], keep, n_int
+    return _from_interior(grid, -(clamped_gradient(grid.dim, grid.cells)[2]
+                                  @ cell_stress.reshape(-1)))
 
 
 class ViscousOperator:
     """w -> -div(M grad w) on clamped nodal vector fields.
 
     m_cells holds the frozen tangent per cell as (cells..., n^2, n^2).
-    The assembled interior matrix agrees exactly with the matrix-free
-    composition of gradient_field, the cell-wise tangent and
-    stress_divergence.
+    The interior matrix is G_I^T blockdiag(M) G_I, the same composition of
+    gradient_field, the cell-wise tangent and stress_divergence that apply
+    performs matrix-free.
     """
 
     def __init__(self, grid, m_cells):
@@ -261,21 +264,18 @@ class ViscousOperator:
 
     def apply(self, nodal):
         g = gradient_field(self.grid, nodal)
-        n = self.grid.dim
-        flat = g.reshape(self.grid.cell_shape + (n * n,))
-        mg = np.einsum('...ab,...b->...a', self.m_cells, flat)
-        return -stress_divergence(self.grid, mg.reshape(g.shape))
+        return -stress_divergence(self.grid, _apply_tangent(self.grid, self.m_cells, g))
 
     def interior_matrix(self):
         if self._matrix is None:
-            grid = self.grid
-            n = grid.dim
-            gcoef, _, rows, cols, keep, n_int = _assembly_pattern(grid.dim, grid.cells)
-            t4 = self.m_cells.reshape(-1, n, n, n, n)
-            k_all = np.einsum('ac,xscte,be->xasbt', gcoef, t4, gcoef)
-            ldof = gcoef.shape[0] * n
-            data = k_all.reshape(-1, ldof * ldof).reshape(-1)[keep]
-            self._matrix = sp.csr_matrix((data, (rows, cols)), shape=(n_int, n_int))
+            _, g_i, g_it, _ = clamped_gradient(self.grid.dim, self.grid.cells)
+            k = self.grid.dim ** 2
+            rows = g_i.shape[0]
+            cols = np.arange(rows).reshape(-1, 1, k).repeat(k, axis=1)
+            blocks = sp.csr_matrix((self.m_cells.reshape(-1), cols.reshape(-1),
+                                    np.arange(0, rows * k + 1, k)),
+                                   shape=(rows, rows))
+            self._matrix = (g_it @ blocks @ g_i).tocsr()
         return self._matrix
 
 
@@ -290,14 +290,14 @@ def identity_tangent(grid):
 
 
 def _interior_vec(grid, nodal):
-    _, interior, *_ = _assembly_pattern(grid.dim, grid.cells)
-    return nodal.reshape(-1, grid.dim)[interior].reshape(-1)
+    dofs = clamped_gradient(grid.dim, grid.cells)[3]
+    return nodal.reshape(-1)[dofs]
 
 
 def _from_interior(grid, vec):
-    _, interior, *_ = _assembly_pattern(grid.dim, grid.cells)
-    out = np.zeros((grid.num_nodes, grid.dim))
-    out[interior] = vec.reshape(-1, grid.dim)
+    dofs = clamped_gradient(grid.dim, grid.cells)[3]
+    out = np.zeros(grid.num_nodes * grid.dim)
+    out[dofs] = vec
     return out.reshape(grid.node_shape + (grid.dim,))
 
 
@@ -342,8 +342,9 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
 
     refreezing M^k = D_Q Z(F, grad v^k) between iterations, until the sup
     increment drops below picard_tol or picard_max solves were spent.  For
-    tangents linear in the velocity gradient the first iterate is already a
-    fixed point.  Then xi advances by dt * v_new.
+    viscosities linear in the velocity gradient the first iterate is already
+    the fixed point, so the loop stops after one solve.  Then xi advances by
+    dt * v_new.
     """
     dt = cfg.dt
     f_cells = gradient_field(grid, state.xi)
@@ -371,7 +372,7 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
             raise PicardDivergence(
                 f"increment grew from {first_inc:.3e} to {inc:.3e}")
         v_k = v_new
-        if inc <= cfg.picard_tol:
+        if inc <= cfg.picard_tol or model.viscosity.linear_in_q:
             break
         if it + 1 < cfg.picard_max:
             m_k = viscous_tangent_field(model.viscosity, f_cells,
@@ -387,7 +388,7 @@ def run(model, grid, cfg, state0, forcing=None):
     """
     if cfg.p_norm is not None and cfg.p_norm <= grid.dim + 2:
         raise InvalidConfig(f"p_norm must exceed dim + 2 = {grid.dim + 2}")
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = whole_steps(cfg.t_end, cfg.dt)
     states = [state0]
     term = Termination('completed')
     state = state0

@@ -213,22 +213,6 @@ def closed_form_gamma(model, f0, q0):
     return 2.0 * float(frob(f0, f0)) * power
 
 
-def _char_eigs(mk):
-    """Eigenvalues of a real n x n matrix via its characteristic polynomial."""
-    n = mk.shape[0]
-    if n == 1:
-        return np.array([mk[0, 0]], dtype=complex)
-    tr = float(np.trace(mk))
-    if n == 2:
-        det = float(np.linalg.det(mk))
-        disc = np.sqrt(complex(tr * tr - 4.0 * det))
-        return np.array([(tr + disc) / 2.0, (tr - disc) / 2.0])
-    c2 = tr
-    c1 = 0.5 * (tr * tr - float(np.trace(mk @ mk)))
-    c0 = float(np.linalg.det(mk))
-    return np.roots([1.0, -c2, c1, -c0])
-
-
 def acoustic_spectrum(m, k):
     """Eigenvalues of the acoustic map a -> M(a x k) k for a unit direction k."""
     k = np.asarray(k, dtype=float)
@@ -236,7 +220,7 @@ def acoustic_spectrum(m, k):
         raise ValueError(f"|k| = {np.linalg.norm(k):.15f} is not 1")
     t4 = m.as_tensor4()
     mk = np.einsum('ijsl,j,l->is', t4, k, k)
-    return _char_eigs(mk)
+    return np.linalg.eigvals(mk)
 
 
 def _directions(dim, num):

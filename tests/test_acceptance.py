@@ -6,6 +6,7 @@ summary lines alongside the pytest verdicts.
 
 import math
 import time
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,11 @@ VISCOSITIES = [ViscosityModel.z0doubleprime(), ViscosityModel.z0prime(),
 ENERGIES = [EnergyModel.w0(), EnergyModel.w1(), EnergyModel.w2(),
             EnergyModel.w0(), EnergyModel.w1()]
 DECAY_MODEL = ConstitutiveModel(EnergyModel.w0(), ViscosityModel.z0doubleprime())
+
+
+def seeded_rng(key):
+    """Generator seeded from a tuple, the same in every process."""
+    return np.random.default_rng(zlib.crc32(repr(key).encode()))
 
 
 def _decay_state(grid):
@@ -67,7 +73,7 @@ def test_criterion_02_tangent_correctness():
     step = 1e-5
     for visc in VISCOSITIES:
         for dim in (2, 3):
-            rng = np.random.default_rng(hash((visc.kind, visc.m, dim)) % 2 ** 31)
+            rng = seeded_rng((visc.kind, visc.m, dim))
             fs = random_deformations(dim, 50, rng)
             qs = rng.standard_normal((50, dim, dim))
             for f, q in zip(fs, qs):
@@ -122,7 +128,7 @@ def test_criterion_03_korn_gamma_oracles(tmp_path):
     for visc in VISCOSITIES:
         if visc.kind == 'zm' and visc.m == 0:
             continue
-        rng = np.random.default_rng(hash(('dom', visc.kind, visc.m)) % 2 ** 31)
+        rng = seeded_rng(('dom', visc.kind, visc.m))
         for _ in range(100):
             f = random_deformations(2, 1, rng)[0]
             q = rng.standard_normal((2, 2))
@@ -149,7 +155,7 @@ def test_criterion_04_ellipticity_sector():
         2, 2.0 * FourthOrderTensor.sym_map(2).mat), np.array([1.0, 0.0])).real)
     assert eigs == pytest.approx([1.0, 2.0], abs=1e-10)
     for visc in VISCOSITIES:
-        rng = np.random.default_rng(hash(('sector', visc.kind, visc.m)) % 2 ** 31)
+        rng = seeded_rng(('sector', visc.kind, visc.m))
         tested = 0
         while tested < 20:
             f = random_deformations(2, 1, rng)[0]

@@ -233,6 +233,20 @@ def test_main_parse_error_exit(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+def test_t_end_must_be_whole_steps(tmp_path):
+    with pytest.raises(RangeError) as info:
+        parse_config("command = simulate\ndt = 0.003\nt_end = 0.01\n")
+    assert info.value.key == 't_end'
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = simulate\ndt = 0.003\nt_end = 0.01\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    # the convergence windows are checked against their own step sizes
+    cfg.write_text("command = convergence\nspatial_dt = 3e-5\n")
+    assert main(["convergence", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cmd_convergence_small_case(tmp_path):
     spec = spec_from(tmp_path,
                      "command = convergence\ndim = 1\ncells = 16\nlevels = 2\n"

@@ -232,6 +232,27 @@ def test_semi_implicit_step_linear_model_picard_fixed_point():
     assert np.max(np.abs(one.v - many.v)) <= 1e-11
 
 
+@pytest.mark.parametrize("viscosity, expect_one", [
+    (ViscosityModel.z0doubleprime(), True), (ViscosityModel.z0prime(), True),
+    (ViscosityModel.zm(0), True), (ViscosityModel.zm(1), False)])
+def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
+    # Q-linear viscosities need no confirming solve; zm(1) refreezes
+    import viscolab.pde_solver as mod
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_shifted(*args, **kwargs)
+
+    monkeypatch.setattr(mod, 'solve_shifted', counting)
+    g = build_grid(1, 16)
+    st = init_state(g, lambda x: np.array(x, copy=True),
+                    lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
+    semi_implicit_step(st, ConstitutiveModel(EnergyModel.w0(), viscosity), g,
+                       SolverConfig(dt=1e-3, t_end=1.0))
+    assert (len(calls) == 1) if expect_one else (len(calls) >= 2)
+
+
 def test_semi_implicit_step_dense_oracle():
     # one step on 5 nodes vs an independently assembled dense solve
     g = build_grid(1, 4)
@@ -286,6 +307,17 @@ def test_run_detects_breakdown():
     assert traj.termination.time == traj.states[-1].time
     last_det = np.linalg.det(gradient_field(g, traj.states[-1].xi)).min()
     assert last_det <= 1e-3
+
+
+def test_solver_config_rejects_partial_last_step():
+    with pytest.raises(InvalidConfig):
+        SolverConfig(dt=3e-3, t_end=1e-2)
+    with pytest.raises(InvalidConfig):
+        SolverConfig(dt=1e-3, t_end=5e-4)
+    # decimal roundoff in t_end / dt is not a partial step
+    g = build_grid(1, 8)
+    traj = run(W0_Z0DP, g, SolverConfig(dt=0.1, t_end=0.3), rest_state(g))
+    assert len(traj.states) == 4
 
 
 def test_run_p_norm_validation():
