@@ -273,18 +273,14 @@ def write_vtk_snapshot(path, grid, state):
     nx = grid.cells + 1
     ny = grid.cells + 1 if grid.dim == 2 else 1
     npts = nx * ny
-    pos = grid.node_positions().reshape(-1, grid.dim)
-    xi = state.xi.reshape(-1, grid.dim)
-    v = state.v.reshape(-1, grid.dim)
-    if grid.dim == 2:
-        # VTK orders points with x fastest; our arrays index (ix, iy)
-        order = np.arange(npts).reshape(nx, ny).T.reshape(-1)
-        pos, xi, v = pos[order], xi[order], v[order]
+    # '%.17g' formats exactly as _fmt
+    rows = '%.17g %.17g %.17g\n' * npts
 
-    def pad(a):
-        out = np.zeros((npts, 3))
-        out[:, :grid.dim] = a
-        return out
+    def table(a):
+        # VTK orders points with x fastest; our arrays index (ix, iy)
+        out = np.zeros((ny, nx, 3))
+        out[..., :grid.dim] = np.swapaxes(a.reshape(nx, ny, grid.dim), 0, 1)
+        return rows % tuple(out.ravel().tolist())
 
     with open(path, 'w', encoding='utf-8', newline='\n') as fh:
         fh.write("# vtk DataFile Version 3.0\n")
@@ -293,13 +289,11 @@ def write_vtk_snapshot(path, grid, state):
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {nx} {ny} 1\n")
         fh.write(f"POINTS {npts} double\n")
-        for row in pad(pos):
-            fh.write(' '.join(_fmt(x) for x in row) + '\n')
+        fh.write(table(grid.node_positions()))
         fh.write(f"POINT_DATA {npts}\n")
-        for name, data in (('xi', xi), ('v', v)):
+        for name, data in (('xi', state.xi), ('v', state.v)):
             fh.write(f"VECTORS {name} double\n")
-            for row in pad(data):
-                fh.write(' '.join(_fmt(x) for x in row) + '\n')
+            fh.write(table(data))
 
 
 def validate_vtk(path):

@@ -17,15 +17,6 @@ from .tensor_core import (EPS_SINGULAR, FourthOrderTensor, frob, rotation_sample
 ENERGY_KINDS = ('w0', 'w1', 'w2')
 VISCOSITY_KINDS = ('zm', 'z0prime', 'z0doubleprime')
 
-# finite-difference step for stress/tangent derivatives
-FD_STRESS_STEP = 1e-4
-FD_TANGENT_STEP = 1e-5
-
-# sixth-order central first-derivative stencil: (offset, weight/h)
-_FD6 = ((-3, -1.0 / 60.0), (-2, 9.0 / 60.0), (-1, -45.0 / 60.0),
-        (1, 45.0 / 60.0), (2, -9.0 / 60.0), (3, 1.0 / 60.0))
-
-
 @dataclass(frozen=True)
 class EnergyModel:
     """Choice of stored elastic energy density.
@@ -125,54 +116,57 @@ def _identity_like(f):
     return np.broadcast_to(np.eye(n), f.shape)
 
 
+def _penalty(model, d):
+    """Determinant penalty g(J) of w1/w2 at J = d > 0, and the factor c(J)
+    of its stress D_F g(det F) = g'(J) J F^-T = c(J) F^-T.
+
+    w1: |log J|^q, c = q |log J|^(q-1) sgn(log J);
+    w2: |1/J - 1|^q, c = -q |1/J - 1|^(q-1) sgn(1/J - 1) / J.
+    """
+    t = np.log(d) if model.kind == 'w1' else 1.0 / d - 1.0
+    pen = np.abs(t) ** model.q
+    c = model.q * np.abs(t) ** (model.q - 1.0) * np.sign(t)
+    return pen, (c if model.kind == 'w1' else -c / d)
+
+
 def energy(model, f):
     """Stored energy density W(F); +inf where det F <= 0 for w1/w2.
 
-    Returns a scalar for a single matrix, an array for a batch.
+    For w1/w2, |(F^T F)^1/2 - Id|^2 = sum_i (s_i - 1)^2 over the singular
+    values s_i of F.  Returns a scalar for a single matrix, an array for a
+    batch.
     """
     f = np.asarray(f, dtype=float)
-    c = np.swapaxes(f, -1, -2) @ f
     if model.kind == 'w0':
-        dev = c - _identity_like(f)
+        dev = np.swapaxes(f, -1, -2) @ f - _identity_like(f)
         out = frob(dev, dev)
         return float(out) if out.ndim == 0 else out
     d = np.linalg.det(f)
-    # C = F^T F is positive semidefinite; eigh never sees an asymmetric input
-    w, v = np.linalg.eigh(c)
-    root = np.einsum('...ik,...k,...jk->...ij', v, np.sqrt(np.maximum(w, 0.0)), v)
-    dev = root - _identity_like(f)
-    base = frob(dev, dev)
-    dsafe = np.where(d > 0.0, d, 1.0)
-    if model.kind == 'w1':
-        pen = np.abs(np.log(dsafe)) ** model.q
-    else:
-        pen = np.abs(1.0 / dsafe - 1.0) ** model.q
+    s = np.linalg.svd(f, compute_uv=False)
+    base = np.sum((s - 1.0) ** 2, axis=-1)
+    pen, _ = _penalty(model, np.where(d > 0.0, d, 1.0))
     out = np.where(d > 0.0, base + pen, np.inf)
     return float(out) if out.ndim == 0 else out
 
 
 def piola_stress(model, f):
-    """Stress DW(F): closed form for w0, sixth-order differences otherwise."""
+    """Stress DW(F) in closed form; batched over leading axes.
+
+    w0: 4 F (F^T F - Id).  w1/w2: 2 (F - R) + c(det F) F^-T, where R = U V^T
+    is the polar rotation from the SVD F = U S V^T and c is the factor of
+    `_penalty`.  Raises DomainError where det F <= 0.
+    """
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
         c = np.swapaxes(f, -1, -2) @ f
         return 4.0 * (f @ (c - _identity_like(f)))
-    if np.any(np.linalg.det(f) <= 0.0):
+    d = np.linalg.det(f)
+    if np.any(d <= 0.0):
         raise DomainError("det F <= 0 outside the energy's smooth domain")
-    n = f.shape[-1]
-    h = FD_STRESS_STEP
-    out = np.zeros_like(f)
-    for i in range(n):
-        for j in range(n):
-            acc = np.zeros(f.shape[:-2])
-            for off, wgt in _FD6:
-                fp = f.copy()
-                fp[..., i, j] += off * h
-                acc = acc + wgt * energy(model, fp)
-            out[..., i, j] = acc / h
-    if not np.all(np.isfinite(out)):
-        raise DomainError("finite differences crossed det F <= 0")
-    return out
+    u, _, vt = np.linalg.svd(f)
+    _, c = _penalty(model, d)
+    gt = np.swapaxes(np.linalg.inv(f), -1, -2)
+    return 2.0 * (f - u @ vt) + c[..., None, None] * gt
 
 
 def _inv_transpose(f):

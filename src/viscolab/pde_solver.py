@@ -417,8 +417,13 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
 
     xi1 diffuses under the clamped discrete Laplacian (implicit Euler); the
     deformation accumulates it trapezoidally, so the pair plays the role of
-    a reference trajectory whose velocity solves the heat equation.
+    a reference trajectory whose velocity solves the heat equation.  t_end
+    must be a whole number of steps dt, as in SolverConfig.
     """
+    n_steps = whole_steps(t_end, dt)
+    if n_steps is None:
+        raise InvalidConfig(f"t_end = {t_end!r} is not a whole number "
+                            f"of steps dt = {dt!r}")
     xi0 = np.asarray(xi0, dtype=float)
     xi1 = np.asarray(xi1, dtype=float)
     bmask = grid.boundary_mask()
@@ -431,7 +436,6 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
         lu = spla.splu(a.tocsc())
     except RuntimeError as exc:
         raise LinearSolveFailure(str(exc)) from exc
-    n_steps = int(round(t_end / dt))
     states = [FieldState(0.0, xi0.copy(), xi1.copy())]
     xibar, v = xi0.copy(), xi1.copy()
     for k in range(1, n_steps + 1):

@@ -6,7 +6,8 @@ import pytest
 import viscolab.pde_solver as pde_solver
 from viscolab.cli_harness import (cmd_check, cmd_convergence, cmd_korn,
                                   cmd_simulate, main, parse_config,
-                                  serialize_config, validate_vtk)
+                                  serialize_config, validate_vtk,
+                                  write_vtk_snapshot)
 from viscolab.errors import ParseError, RangeError
 
 
@@ -176,6 +177,60 @@ def test_vtk_point_ordering_2d(tmp_path):
     ys = [float(row[1]) for row in first]
     assert xs == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert ys == pytest.approx([0.0] * 5)
+
+
+def per_row_vtk(path, grid, state):
+    # the per-number writer that write_vtk_snapshot replaced, kept as oracle
+    nx = grid.cells + 1
+    ny = grid.cells + 1 if grid.dim == 2 else 1
+    npts = nx * ny
+    pos = grid.node_positions().reshape(-1, grid.dim)
+    xi = state.xi.reshape(-1, grid.dim)
+    v = state.v.reshape(-1, grid.dim)
+    if grid.dim == 2:
+        order = np.arange(npts).reshape(nx, ny).T.reshape(-1)
+        pos, xi, v = pos[order], xi[order], v[order]
+
+    def pad(a):
+        out = np.zeros((npts, 3))
+        out[:, :grid.dim] = a
+        return out
+
+    def fmt(x):
+        return f"{x:.17g}"
+
+    with open(path, 'w', encoding='utf-8', newline='\n') as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"viscolab snapshot t={fmt(state.time)}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET STRUCTURED_GRID\n")
+        fh.write(f"DIMENSIONS {nx} {ny} 1\n")
+        fh.write(f"POINTS {npts} double\n")
+        for row in pad(pos):
+            fh.write(' '.join(fmt(x) for x in row) + '\n')
+        fh.write(f"POINT_DATA {npts}\n")
+        for name, data in (('xi', xi), ('v', v)):
+            fh.write(f"VECTORS {name} double\n")
+            for row in pad(data):
+                fh.write(' '.join(fmt(x) for x in row) + '\n')
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 9), (2, 5)])
+def test_vtk_bytes_match_per_row_writer(tmp_path, dim, cells):
+    grid = pde_solver.build_grid(dim, cells)
+    rng = np.random.default_rng(17)
+    shape = grid.node_positions().shape
+    xi = grid.node_positions() + 1e-3 * rng.standard_normal(shape)
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    special = np.array([-0.0, 1e-300, 1e+300, -1e-300, 0.1, -2.5])
+    v.reshape(-1)[:special.size] = special
+    state = pde_solver.FieldState(0.30000000000000004, xi, v)
+    write_vtk_snapshot(tmp_path / "new.vtk", grid, state)
+    per_row_vtk(tmp_path / "old.vtk", grid, state)
+    new = (tmp_path / "new.vtk").read_bytes()
+    assert new == (tmp_path / "old.vtk").read_bytes()
+    assert b"\n-0 " in new or b" -0 " in new
+    assert validate_vtk(tmp_path / "new.vtk") == grid.num_nodes
 
 
 def test_cmd_simulate_compression_breakdown(tmp_path):

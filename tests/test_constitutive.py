@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,63 @@ def test_piola_stress_directional_derivative(model):
 def test_piola_stress_domain_error():
     with pytest.raises(DomainError):
         piola_stress(EnergyModel.w1(), np.diag([-1.0, 1.0]))
+    for model in (EnergyModel.w1(), EnergyModel.w2()):
+        batch = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+        with pytest.raises(DomainError):
+            piola_stress(model, batch)
+        with pytest.raises(DomainError):
+            piola_stress(model, -np.ones((1, 1)))
+
+
+def fd6_stress(model, f, h=1e-4):
+    # oracle: sixth-order central differences of the energy, entry by entry
+    stencil = ((-3, -1.0), (-2, 9.0), (-1, -45.0), (1, 45.0), (2, -9.0),
+               (3, 1.0))
+    out = np.zeros_like(f)
+    for i in range(f.shape[-1]):
+        for j in range(f.shape[-1]):
+            for off, wgt in stencil:
+                fp = f.copy()
+                fp[..., i, j] += off * h
+                out[..., i, j] += wgt / 60.0 * energy(model, fp) / h
+    return out
+
+
+@pytest.mark.parametrize("kind", ['w1', 'w2'])
+@pytest.mark.parametrize("q", [2.0, 3.5])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_piola_stress_closed_form_matches_fd6(kind, q, dim):
+    model = EnergyModel(kind, q)
+    rng = np.random.default_rng(16)
+    if dim == 1:
+        f = rng.uniform(0.5, 2.0, (200, 1, 1))
+    else:
+        f = random_deformations(dim, 200, rng)
+    s = piola_stress(model, f)
+    assert s.shape == f.shape
+    err = np.max(np.abs(s - fd6_stress(model, f))) / np.max(np.abs(s))
+    assert err <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ['w1', 'w2'])
+def test_piola_stress_at_unit_determinant(kind):
+    # at det F = 1 the penalty has zero slope even for q < 2, so DW = 2(F - R).
+    # det F must be 1 in floating point: for q < 2 the slope |log J|^(q-1)
+    # turns a one-ulp error in J into about 1e-8.
+    model = EnergyModel(kind, 1.5)
+    r = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for lam in (0.25, 0.5, 1.0, 1.25, 2.0, 4.0):
+        f = r @ np.diag([lam, 1.0 / lam])
+        assert np.linalg.det(f) == 1.0
+        s = piola_stress(model, f)
+        assert np.max(np.abs(s - 2.0 * (f - r))) <= 1e-12
+
+
+def test_piola_stress_finite_near_determinant_floor():
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        s = piola_stress(EnergyModel.w1(), np.diag([2e-4, 1.0]))
+    assert np.all(np.isfinite(s))
 
 
 def test_viscous_stress_examples():

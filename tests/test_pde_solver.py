@@ -416,6 +416,15 @@ def test_heat_extension_requires_clamped_velocity():
         heat_extension(g, np.array(x, copy=True), np.ones_like(x), 1e-2, 0.1)
 
 
+def test_heat_extension_rejects_partial_last_step():
+    g = build_grid(1, 8)
+    x = g.node_positions()
+    with pytest.raises(InvalidConfig):
+        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.003, 0.01)
+    ext = heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.002, 0.01)
+    assert ext.states[-1].time == pytest.approx(0.01)
+
+
 def test_manufactured_rest_exact():
     g = build_grid(1, 16)
     exact = ExactSolution(
