@@ -47,7 +47,6 @@ class RunSpec:
     picard_max: int = 5
     det_floor: float = 1e-3
     linear_tol: float = 1e-10
-    p_norm: float | None = None
     save_every: int = 1
     preset: str = 'rest'
     amplitude: float = 0.1
@@ -122,9 +121,6 @@ def _validate(values):
     need('t_end', pde_solver.whole_steps(values['t_end'], values['dt']) is not None,
          f"must be a whole number of steps dt = {values['dt']!r}")
     need('picard_max', values['picard_max'] >= 1, "must be at least 1")
-    if values['p_norm'] is not None:
-        need('p_norm', values['p_norm'] > values['dim'] + 2,
-             f"must exceed dim + 2 = {values['dim'] + 2}")
     need('save_every', values['save_every'] >= 1, "must be at least 1")
     need('preset', values['preset'] in PRESETS, f"must be one of {PRESETS}")
     need('mode', values['mode'] >= 1, "must be at least 1")
@@ -207,8 +203,7 @@ def solver_config(spec):
     return pde_solver.SolverConfig(
         dt=spec.dt, t_end=spec.t_end, picard_tol=spec.picard_tol,
         picard_max=spec.picard_max, det_floor=spec.det_floor,
-        linear_tol=spec.linear_tol, p_norm=spec.p_norm,
-        save_every=spec.save_every)
+        linear_tol=spec.linear_tol, save_every=spec.save_every)
 
 
 def preset_functions(spec):
@@ -299,43 +294,57 @@ def write_vtk_snapshot(path, grid, state):
 def validate_vtk(path):
     """Structural check of a legacy-ASCII structured-grid snapshot.
 
-    Returns the point count; raises ValueError on any malformed section.
+    Returns the point count; raises ValueError on any malformed or missing
+    section, naming the line where the file ends early or a line has the
+    wrong number of fields.
     """
     with open(path, encoding='utf-8') as fh:
         lines = [ln.rstrip('\n') for ln in fh]
-    if len(lines) < 7 or lines[0] != "# vtk DataFile Version 3.0":
-        raise ValueError("bad header line")
-    if lines[2] != "ASCII" or lines[3] != "DATASET STRUCTURED_GRID":
-        raise ValueError("not an ASCII structured grid")
-    dims = lines[4].split()
-    if dims[0] != "DIMENSIONS" or len(dims) != 4:
-        raise ValueError("bad DIMENSIONS line")
+
+    def line(cursor, what):
+        if cursor >= len(lines):
+            raise ValueError(f"line {cursor + 1}: file ends before the {what}")
+        return lines[cursor]
+
+    def tokens(cursor, count, what):
+        row = line(cursor, what).split()
+        if len(row) != count:
+            raise ValueError(f"line {cursor + 1}: bad {what}")
+        return row
+
+    if line(0, "header line") != "# vtk DataFile Version 3.0":
+        raise ValueError("line 1: bad header line")
+    if line(2, "format line") != "ASCII" \
+            or line(3, "dataset line") != "DATASET STRUCTURED_GRID":
+        raise ValueError("lines 3-4: not an ASCII structured grid")
+    dims = tokens(4, 4, "DIMENSIONS line")
+    if dims[0] != "DIMENSIONS":
+        raise ValueError("line 5: bad DIMENSIONS line")
     nx, ny, nz = (int(x) for x in dims[1:])
-    pts = lines[5].split()
+    pts = tokens(5, 3, "POINTS line")
     if pts[0] != "POINTS" or pts[2] != "double":
-        raise ValueError("bad POINTS line")
+        raise ValueError("line 6: bad POINTS line")
     npts = int(pts[1])
     if npts != nx * ny * nz:
-        raise ValueError("point count does not match DIMENSIONS")
+        raise ValueError("line 6: point count does not match DIMENSIONS")
     cursor = 6
     for _ in range(npts):
-        if len(lines[cursor].split()) != 3:
-            raise ValueError(f"bad point row at line {cursor + 1}")
+        tokens(cursor, 3, "point row")
         cursor += 1
-    if lines[cursor] != f"POINT_DATA {npts}":
-        raise ValueError("bad POINT_DATA line")
+    if line(cursor, "POINT_DATA line") != f"POINT_DATA {npts}":
+        raise ValueError(f"line {cursor + 1}: bad POINT_DATA line")
     cursor += 1
     names = []
     while cursor < len(lines) and lines[cursor]:
-        head = lines[cursor].split()
+        head = tokens(cursor, 3, "VECTORS header")
         if head[0] != "VECTORS" or head[2] != "double":
-            raise ValueError(f"bad VECTORS header at line {cursor + 1}")
+            raise ValueError(f"line {cursor + 1}: bad VECTORS header")
         names.append(head[1])
         cursor += 1
         for _ in range(npts):
-            row = lines[cursor].split()
-            if len(row) != 3 or not all(math.isfinite(float(x)) for x in row):
-                raise ValueError(f"bad vector row at line {cursor + 1}")
+            row = tokens(cursor, 3, "vector row")
+            if not all(math.isfinite(float(x)) for x in row):
+                raise ValueError(f"line {cursor + 1}: bad vector row")
             cursor += 1
     if names != ['xi', 'v']:
         raise ValueError(f"expected vector arrays ['xi', 'v'], found {names}")

@@ -200,42 +200,29 @@ def dissipation_density(model, f, q):
 
 
 def viscous_tangent_field(model, f, q):
-    """Velocity-gradient tangent of Z as (..., n^2, n^2) matrices.
+    """Velocity-gradient tangent D_Q Z(F, Q) as (..., n^2, n^2) matrices.
 
-    Closed forms (row-major vectorization, rows (i,j) and columns (k,l)):
-      z0doubleprime: (F F^T)_ik d_jl + F_il F_kj
-      z0prime:       det F [ d_ik (G G^T)_jl + G_li G_jk ],  G = F^-1
-      zm:            1/2 sum_j [ (A^j)_ik (G A^(2m-j) G^T)_lp
-                                 + (A^j G^T)_il (A^(2m-j) G^T)_kp ]
-                     with A = sym(Q F^-1), rows (i,p), columns (k,l)
+    Column k n + l is the derivative of Z along the basis matrix E_kl, in
+    the row-major vectorization.  Where Z is linear in Q that column is
+    Z(F, E_kl) itself; for zm with m >= 1 it is
+    sum_j A^j sym(E_kl G) A^(2m-j) G^T, with G = F^-1 and A = sym(Q G).
     """
     f = np.asarray(f, dtype=float)
-    q = np.asarray(q, dtype=float)
     n = f.shape[-1]
-    batch = f.shape[:-2]
-    eye = np.eye(n)
-    if model.kind == 'z0doubleprime':
-        fft = f @ np.swapaxes(f, -1, -2)
-        t4 = np.einsum('...ik,jl->...ijkl', fft, eye) \
-            + np.einsum('...il,...kj->...ijkl', f, f)
-        return t4.reshape(batch + (n * n, n * n))
-    d, g, gt = _inv_transpose(f)
-    if model.kind == 'z0prime':
-        ggt = g @ gt
-        t4 = np.einsum('...,ik,...jl->...ijkl', d, eye, ggt) \
-            + np.einsum('...,...li,...jk->...ijkl', d, g, g)
-        return t4.reshape(batch + (n * n, n * n))
-    a = sym(q @ g)
-    powers = [np.broadcast_to(eye, f.shape).copy()]
-    for _ in range(2 * model.m):
-        powers.append(powers[-1] @ a)
-    t4 = np.zeros(batch + (n, n, n, n))
-    for j in range(2 * model.m + 1):
-        aj = powers[j]
-        ak = powers[2 * model.m - j]
-        t4 = t4 + 0.5 * np.einsum('...ik,...lp->...ipkl', aj, g @ ak @ gt)
-        t4 = t4 + 0.5 * np.einsum('...il,...kp->...ipkl', aj @ gt, ak @ gt)
-    return t4.reshape(batch + (n * n, n * n))
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    if model.linear_in_q:
+        cols = viscous_stress(model, f[..., None, :, :], basis)
+    else:
+        _, g, gt = _inv_transpose(f)
+        a = sym(np.asarray(q, dtype=float) @ g)
+        powers = [np.broadcast_to(np.eye(n), a.shape)]
+        for _ in range(2 * model.m):
+            powers.append(powers[-1] @ a)
+        e_g = sym(basis @ g[..., None, :, :])
+        cols = sum(powers[j][..., None, :, :] @ e_g
+                   @ (powers[2 * model.m - j] @ gt)[..., None, :, :]
+                   for j in range(2 * model.m + 1))
+    return np.swapaxes(cols.reshape(cols.shape[:-3] + (n * n, n * n)), -1, -2)
 
 
 def viscous_tangent_q(model, f0, q0):

@@ -9,10 +9,6 @@ class SingularMatrix(ViscolabError):
     """Matrix inversion requested for a (numerically) singular matrix."""
 
 
-class NotSPD(ViscolabError):
-    """Symmetric positive definite input expected and not provided."""
-
-
 class DomainError(ViscolabError):
     """Constitutive evaluation outside the admissible set (det F <= 0)."""
 

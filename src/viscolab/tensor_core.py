@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSPD, SingularMatrix
-
 # determinants at or below this magnitude count as singular
 EPS_SINGULAR = 1e-14
 
@@ -35,41 +33,6 @@ def frob(a, b):
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape[-2:]} vs {b.shape[-2:]}")
     return np.einsum('...ij,...ij->...', a, b)
-
-
-def frob_norm(a):
-    """Frobenius norm |a| = sqrt(tr(a^T a))."""
-    return np.sqrt(frob(a, a))
-
-
-def det_inv(a):
-    """Determinant and inverse of a (batch of) square matrices.
-
-    Raises SingularMatrix when any determinant magnitude is at or below
-    EPS_SINGULAR; the determinant itself is always well defined.
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.linalg.det(a)
-    if np.any(np.abs(d) <= EPS_SINGULAR):
-        raise SingularMatrix(f"minimum |det| = {np.min(np.abs(d)):.3e}")
-    return d, np.linalg.inv(a)
-
-
-def sqrt_spd(a, tol_sym=1e-10):
-    """Symmetric square root of a symmetric positive definite matrix.
-
-    Uses the symmetric eigendecomposition; raises NotSPD when the input is
-    asymmetric beyond tol_sym or has a non-positive eigenvalue.
-    """
-    a = np.asarray(a, dtype=float)
-    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)))
-    if asym > tol_sym:
-        raise NotSPD(f"asymmetry {asym:.3e} exceeds {tol_sym:.1e}")
-    w, v = np.linalg.eigh(a)
-    if np.any(w <= 0.0):
-        raise NotSPD(f"minimum eigenvalue {np.min(w):.3e} <= 0")
-    root = np.einsum('...ik,...k,...jk->...ij', v, np.sqrt(w), v)
-    return sym(root)
 
 
 def rotation_sample(dim, rng, count=None):
@@ -161,9 +124,6 @@ class FourthOrderTensor:
         q = np.asarray(q, dtype=float)
         n = self.dim
         return (self.mat @ q.reshape(n * n)).reshape(n, n)
-
-    def scaled(self, c):
-        return FourthOrderTensor(self.dim, c * self.mat)
 
     def as_tensor4(self):
         """Reshape to index form T[i, j, k, l] with rows (i, j), cols (k, l)."""

@@ -140,7 +140,7 @@ def test_criterion_03_korn_gamma_oracles(tmp_path):
                    out=str(tmp_path / "korn_m0"))
     assert cli.cmd_korn(spec) == 0
     report = dict(line.split(' = ', 1) for line in
-                  open(tmp_path / "korn_m0" / "report.txt").read().splitlines())
+                  (tmp_path / "korn_m0" / "report.txt").read_text().splitlines())
     assert float(report['gamma_est']) == pytest.approx(2.0, rel=1e-6)
     assert float(report['closed_form_gamma']) == pytest.approx(1.0)
     assert report['gamma_discrepancy'] == 'true'

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def spec_from(tmp_path, text, **overrides):
 
 def read_report(path):
     out = {}
-    for line in open(path, encoding='utf-8'):
+    for line in Path(path).read_text(encoding='utf-8').splitlines():
         key, _, val = line.partition(' = ')
         out[key] = val.strip()
     return out
@@ -31,7 +32,6 @@ def test_parse_minimal_defaults():
     assert spec.energy == 'w0' and spec.viscosity == 'z0doubleprime'
     assert spec.dim == 1 and spec.cells == 64
     assert spec.dt == 1e-3 and spec.t_end == 1.0
-    assert spec.p_norm is None
     assert spec.was_set('command') and not spec.was_set('cells')
 
 
@@ -63,14 +63,6 @@ def test_parse_errors():
     except RangeError as exc:
         err = exc
     assert err is not None and err.key == 'cells'
-
-
-def test_parse_p_norm_range_depends_on_dim():
-    # p = 4 is fine in 1D but violates p > dim + 2 in 2D
-    parse_config("command = simulate\np_norm = 4\n")
-    with pytest.raises(RangeError) as info:
-        parse_config("command = simulate\ndim = 2\np_norm = 2\n")
-    assert info.value.key == 'p_norm'
 
 
 def test_parse_single_level_rejected():
@@ -163,6 +155,24 @@ def test_cmd_simulate_rest(tmp_path):
     assert len(vtks) == 6
     for p in vtks:
         assert validate_vtk(p) == 9
+
+
+def test_validate_vtk_rejects_truncated_files(tmp_path):
+    spec = spec_from(tmp_path, "command = simulate\ndim = 1\ncells = 8\n"
+                               "dt = 0.01\nt_end = 0.01\n")
+    assert cmd_simulate(spec) == 0
+    lines = (tmp_path / "out" / "snapshot_0000.vtk").read_text().splitlines(
+        keepends=True)
+    bad = tmp_path / "bad.vtk"
+    for cut in (1, 3, 7, 12, 33):
+        bad.write_text(''.join(lines[:-cut]))
+        with pytest.raises(ValueError, match=r"^line \d+: file ends"):
+            validate_vtk(bad)
+    for row, short in ((5, "POINTS 9\n"), (4, "DIMENSIONS 9 1\n"),
+                       (16, "VECTORS xi\n"), (18, "1 0\n")):
+        bad.write_text(''.join(lines[:row] + [short] + lines[row + 1:]))
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: bad"):
+            validate_vtk(bad)
 
 
 def test_vtk_point_ordering_2d(tmp_path):

@@ -7,7 +7,7 @@ from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, dissipation_density, energy,
                                    piola_stress, random_deformations,
                                    validate_axioms, viscous_stress,
-                                   viscous_tangent_q)
+                                   viscous_tangent_field, viscous_tangent_q)
 from viscolab.errors import DomainError
 from viscolab.tensor_core import frob, random_rotation, skew, sym
 
@@ -186,7 +186,19 @@ def test_tangent_closed_forms_at_identity():
 
 
 @pytest.mark.parametrize("model", ALL_VISCOSITIES)
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tangent_symmetric(model, dim):
+    # D_Q Z is the Hessian of a dissipation potential, hence symmetric
+    rng = np.random.default_rng(24)
+    f = random_deformations(dim, 200, rng)
+    q = rng.standard_normal((200, dim, dim))
+    t = viscous_tangent_field(model, f, q)
+    asym = np.max(np.abs(t - np.swapaxes(t, -1, -2)), axis=(-1, -2))
+    assert np.all(asym <= 1e-14 * np.max(np.abs(t), axis=(-1, -2)))
+
+
+@pytest.mark.parametrize("model", ALL_VISCOSITIES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_tangent_matches_finite_differences(model, dim):
     rng = np.random.default_rng(16)
     h = 1e-5

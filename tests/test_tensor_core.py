@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from viscolab.errors import NotSPD, SingularMatrix
-from viscolab.tensor_core import (FourthOrderTensor, det_inv, frob, frob_norm,
-                                  random_rotation, skew, sqrt_spd, sym)
+from viscolab.tensor_core import (FourthOrderTensor, frob, random_rotation,
+                                  skew, sym)
 
 
 def test_sym_examples():
@@ -30,57 +29,12 @@ def test_frob_symmetry_and_cauchy_schwarz():
         a = rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2))
         assert frob(a, b) == pytest.approx(frob(b, a), abs=1e-12)
-        assert abs(frob(a, b)) <= frob_norm(a) * frob_norm(b) + 1e-12
+        assert abs(frob(a, b)) <= np.sqrt(frob(a, a) * frob(b, b)) + 1e-12
 
 
 def test_frob_dimension_mismatch():
     with pytest.raises(ValueError):
         frob(np.eye(2), np.eye(3))
-
-
-def test_det_inv_examples():
-    d, inv = det_inv(np.diag([2.0, 3.0]))
-    assert d == pytest.approx(6.0)
-    assert np.allclose(inv, np.diag([0.5, 1.0 / 3.0]))
-    d, inv = det_inv(np.eye(3))
-    assert d == pytest.approx(1.0)
-    assert np.allclose(inv, np.eye(3))
-
-
-def test_det_inv_residual():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-        _, inv = det_inv(a)
-        assert np.max(np.abs(a @ inv - np.eye(3))) <= 1e-12
-
-
-def test_det_inv_singular():
-    with pytest.raises(SingularMatrix):
-        det_inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_sqrt_spd_examples():
-    assert np.allclose(sqrt_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    assert np.allclose(sqrt_spd(np.eye(3)), np.eye(3))
-
-
-def test_sqrt_spd_squaring_residual():
-    rng = np.random.default_rng(3)
-    for i in range(100):
-        r = random_rotation(3, seed=i)
-        d = np.diag(rng.uniform(0.1, 5.0, 3))
-        a = r.T @ d @ r
-        s = sqrt_spd(a)
-        assert np.max(np.abs(s - s.T)) == 0.0
-        assert frob_norm(s @ s - a) <= 1e-10 * frob_norm(a)
-
-
-def test_sqrt_spd_rejects():
-    with pytest.raises(NotSPD):
-        sqrt_spd(np.diag([1.0, -1.0]))
-    with pytest.raises(NotSPD):
-        sqrt_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
