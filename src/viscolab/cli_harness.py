@@ -295,8 +295,9 @@ def validate_vtk(path):
     """Structural check of a legacy-ASCII structured-grid snapshot.
 
     Returns the point count; raises ValueError on any malformed or missing
-    section, naming the line where the file ends early or a line has the
-    wrong number of fields.
+    section, naming the line where the file ends early, a line has the
+    wrong number of fields, or anything but blank lines follows the first
+    blank line after the data arrays.
     """
     with open(path, encoding='utf-8') as fh:
         lines = [ln.rstrip('\n') for ln in fh]
@@ -346,6 +347,9 @@ def validate_vtk(path):
             if not all(math.isfinite(float(x)) for x in row):
                 raise ValueError(f"line {cursor + 1}: bad vector row")
             cursor += 1
+    for rest in range(cursor, len(lines)):
+        if lines[rest].strip():
+            raise ValueError(f"line {rest + 1}: content after the data arrays")
     if names != ['xi', 'v']:
         raise ValueError(f"expected vector arrays ['xi', 'v'], found {names}")
     return npts

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQ, DomainError, SingularMatrix, Unsupported
-from .tensor_core import frob
-from .constitutive import viscous_tangent_q
+from .tensor_core import EPS_SINGULAR, frob
+# viscous_tangent_q stays bound here: perfbench/tracing.py wraps it by this name
+from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,13 +60,19 @@ class UniformGammaReport:
         return math.isfinite(self.gamma_sup)
 
 
-def _ratio_single(t4, a, b):
-    return float(np.einsum('i,j,ijkl,k,l->', a, b, t4, a, b))
+def _ratios(t4, a, b):
+    return np.einsum('zi,zj,zijkl,zk,zl->z', a, b, t4, a, b)
+
+
+def _gammas(ratio):
+    """1/ratio where the ratio is positive, +inf elsewhere."""
+    out = np.full(ratio.shape, np.inf)
+    pos = ratio > 0.0
+    out[pos] = 1.0 / ratio[pos]
+    return out
 
 
 def _sphere_grid(dim, res):
-    if dim == 1:
-        return np.ones((1, 1)), np.zeros((1, 1))
     if dim == 2:
         ang = np.linspace(0.0, np.pi, res, endpoint=False)
         return np.stack([np.cos(ang), np.sin(ang)], axis=1), ang[:, None]
@@ -81,53 +88,89 @@ def _sphere_grid(dim, res):
 
 
 def _unit_from_coords(dim, c):
-    if dim == 1:
-        return np.array([1.0])
+    """Unit vectors of the sphere chart at coordinates c of shape (z, dim - 1)."""
+    out = np.empty((len(c), dim))
     if dim == 2:
-        return np.array([math.cos(c[0]), math.sin(c[0])])
-    st = math.sin(c[0])
-    return np.array([st * math.cos(c[1]), st * math.sin(c[1]), math.cos(c[0])])
+        out[:, 0], out[:, 1] = np.cos(c[:, 0]), np.sin(c[:, 0])
+        return out
+    st = np.sin(c[:, 0])
+    out[:, 0], out[:, 1] = st * np.cos(c[:, 1]), st * np.sin(c[:, 1])
+    out[:, 2] = np.cos(c[:, 0])
+    return out
 
 
-def _golden_min(f, lo, hi, iters=80):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _lowest_eigh(mats):
+    """Smallest eigenvalue and its unit eigenvector of each symmetrized matrix."""
+    w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    return w[:, 0], v[..., 0]
 
 
-def _alternating_polish(t4, a, b, iters=60):
-    """Exact block minimization: with one factor fixed, the optimal other
-    factor is the minimal eigenvector of the contracted symmetric matrix."""
-    ratio = _ratio_single(t4, a, b)
-    for _ in range(iters):
-        nb = np.einsum('ijkl,j,l->ik', t4, b, b)
-        a = np.linalg.eigh(0.5 * (nb + nb.T))[1][:, 0]
-        pa = np.einsum('ijkl,i,k->jl', t4, a, a)
-        b = np.linalg.eigh(0.5 * (pa + pa.T))[1][:, 0]
-        new_ratio = _ratio_single(t4, a, b)
-        if ratio - new_ratio < 1e-14:
-            ratio = min(ratio, new_ratio)
+def _rank_one_batch(t4, angular_resolution, refine_iters):
+    """Rank-one minimization for stacked tangents t4 of shape (z, n, n, n, n).
+
+    Returns the arrays ratio (z,), a* and b* (z, n).  Each member's grid
+    scan runs on its own, which keeps memory at one grid.  The golden-section
+    rounds run in lockstep: every member keeps its own bracket and evaluates
+    one new point per iteration.  The alternating eigen-polish is exact block
+    minimization (with one factor fixed, the optimal other factor is the
+    minimal eigenvector of the contracted matrix); a member leaves it once
+    its ratio falls by less than 1e-14.
+    """
+    if angular_resolution < 8:
+        raise ValueError("angular_resolution must be at least 8")
+    z, n = t4.shape[0], t4.shape[1]
+    if n == 1:
+        one = np.ones((z, 1))
+        return t4[:, 0, 0, 0, 0], one, one
+
+    def given_b(t, b):
+        return _lowest_eigh(np.einsum('zijkl,zj,zl->zik', t, b, b))
+
+    vecs, coords = _sphere_grid(n, angular_resolution)
+    x = np.empty((z, coords.shape[1]))
+    for i in range(z):
+        nb = np.einsum('qj,ijkl,ql->qik', vecs, t4[i], vecs)
+        low = np.linalg.eigvalsh(0.5 * (nb + np.swapaxes(nb, -1, -2)))[:, 0]
+        x[i] = coords[np.argmin(low)]
+
+    width = np.pi / angular_resolution
+    for _ in range(refine_iters):
+        for col in range(x.shape[1]):
+            def along(s, col=col):
+                y = x.copy()
+                y[:, col] = s
+                return given_b(t4, _unit_from_coords(n, y))[0]
+            lo, hi = x[:, col] - width, x[:, col] + width
+            c = hi - _GOLDEN * (hi - lo)
+            d = lo + _GOLDEN * (hi - lo)
+            fc, fd = along(c), along(d)
+            for _ in range(80):
+                left = fc < fd
+                lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+                p = np.where(left, hi - _GOLDEN * (hi - lo),
+                             lo + _GOLDEN * (hi - lo))
+                fp = along(p)
+                c, d = np.where(left, p, d), np.where(left, c, p)
+                fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+            x[:, col] = (lo + hi) / 2.0
+        width *= 0.5
+
+    b = _unit_from_coords(n, x)
+    a = given_b(t4, b)[1]
+    ratio = _ratios(t4, a, b)
+    live = np.arange(z)
+    for _ in range(60):
+        t = t4[live]
+        na = given_b(t, b[live])[1]
+        nb = _lowest_eigh(np.einsum('zijkl,zi,zk->zjl', t, na, na))[1]
+        a[live], b[live] = na, nb
+        new_ratio = _ratios(t, na, nb)
+        falling = ratio[live] - new_ratio >= 1e-14
+        ratio[live] = new_ratio
+        live = live[falling]
+        if live.size == 0:
             break
-        ratio = new_ratio
-    return a, b
-
-
-def _best_a_for(t4, b):
-    """Exact minimizer over unit a of the ratio at fixed b, with its value."""
-    nb = np.einsum('ijkl,j,l->ik', t4, b, b)
-    w, v = np.linalg.eigh(0.5 * (nb + nb.T))
-    return v[:, 0], float(w[0])
+    return ratio, a, b
 
 
 def rank_one_min(m, angular_resolution=360, refine_iters=5):
@@ -139,44 +182,12 @@ def rank_one_min(m, angular_resolution=360, refine_iters=5):
     (angular_resolution points per sphere coordinate), refines the best cell
     with coordinate-wise golden-section rounds, and finishes with the exact
     alternating eigen-polish.  gamma_est = 1/ratio_min when the ratio is
-    positive, +inf otherwise.
+    positive, +inf otherwise.  In 1D the ratio is the single entry of M.
     """
-    if angular_resolution < 8:
-        raise ValueError("angular_resolution must be at least 8")
-    t4 = m.as_tensor4()
-    n = m.dim
-    if n == 1:
-        ratio = float(m.mat[0, 0])
-        gamma = 1.0 / ratio if ratio > 0.0 else np.inf
-        one = np.array([1.0])
-        return RankOneResult(ratio, gamma, one, one, 1)
-
-    vecs, coords = _sphere_grid(n, angular_resolution)
-    nb = np.einsum('qj,ijkl,ql->qik', vecs, t4, vecs)
-    low = np.linalg.eigvalsh(0.5 * (nb + np.swapaxes(nb, -1, -2)))[:, 0]
-    ib = int(np.argmin(low))
-    x = coords[ib].copy()
-    width = np.pi / angular_resolution
-
-    def val(y):
-        return _best_a_for(t4, _unit_from_coords(n, y))[1]
-
-    w = width
-    for _ in range(refine_iters):
-        for c in range(x.size):
-            def along(s, c=c):
-                y = x.copy()
-                y[c] = s
-                return val(y)
-            x[c] = _golden_min(along, x[c] - w, x[c] + w)
-        w *= 0.5
-
-    b_star = _unit_from_coords(n, x)
-    a_star = _best_a_for(t4, b_star)[0]
-    a_star, b_star = _alternating_polish(t4, a_star, b_star)
-    ratio = _ratio_single(t4, a_star, b_star)
-    gamma = 1.0 / ratio if ratio > 0.0 else np.inf
-    return RankOneResult(ratio, gamma, a_star, b_star, int(len(vecs)))
+    ratio, a_star, b_star = _rank_one_batch(m.as_tensor4()[None],
+                                            angular_resolution, refine_iters)
+    return RankOneResult(float(ratio[0]), float(_gammas(ratio)[0]),
+                         a_star[0], b_star[0], angular_resolution ** (m.dim - 1))
 
 
 def closed_form_gamma(model, f0, q0):
@@ -214,12 +225,17 @@ def closed_form_gamma(model, f0, q0):
 
 
 def acoustic_spectrum(m, k):
-    """Eigenvalues of the acoustic map a -> M(a x k) k for a unit direction k."""
+    """Eigenvalues of the acoustic map a -> M(a x k) k for unit directions k.
+
+    k has shape (..., n); the result has shape (..., n).  Raises ValueError
+    when any direction is not a unit vector.
+    """
     k = np.asarray(k, dtype=float)
-    if abs(np.linalg.norm(k) - 1.0) > 1e-12:
-        raise ValueError(f"|k| = {np.linalg.norm(k):.15f} is not 1")
-    t4 = m.as_tensor4()
-    mk = np.einsum('ijsl,j,l->is', t4, k, k)
+    norms = np.linalg.norm(k, axis=-1)
+    bad = np.abs(norms - 1.0) > 1e-12
+    if np.any(bad):
+        raise ValueError(f"|k| = {norms[bad][0]:.15f} is not 1")
+    mk = np.einsum('ijsl,...j,...l->...is', m.as_tensor4(), k, k)
     return np.linalg.eigvals(mk)
 
 
@@ -248,13 +264,9 @@ def sector_scan(m, num_directions):
         raise ValueError(f"need at least {m.dim + 1} directions")
     dirs = _directions(m.dim, num_directions)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    min_re = np.inf
-    max_arg = 0.0
-    for k in dirs:
-        eigs = acoustic_spectrum(m, k)
-        min_re = min(min_re, float(np.min(eigs.real)))
-        max_arg = max(max_arg, float(np.max(np.abs(np.angle(eigs)))))
-    return SpectrumReport(min_re, max_arg, len(dirs))
+    eigs = acoustic_spectrum(m, dirs)
+    return SpectrumReport(float(np.min(eigs.real)),
+                          float(np.max(np.abs(np.angle(eigs)))), len(dirs))
 
 
 def _half_space_modes(dim, max_modes):
@@ -320,8 +332,10 @@ def check_initial_data(model, grid_f0, grid_q0, resolution=180, refine_iters=5):
     """Node-wise gamma estimates for the frozen tangents of initial data.
 
     grid_f0, grid_q0: arrays of shape (nodes, n, n) with det F0 > 0 at every
-    node.  Repeated (F0, Q0) pairs are computed once.  The report passes
-    when the supremum of the node gammas is finite.
+    node.  Repeated (F0, Q0) pairs are computed once; the distinct tangents
+    are built in one call and searched as one batch, and each node's gamma
+    equals that of `rank_one_min` on its tangent.  The report passes when
+    the supremum of the node gammas is finite.
     """
     f0 = np.asarray(grid_f0, dtype=float)
     q0 = np.asarray(grid_q0, dtype=float)
@@ -333,17 +347,24 @@ def check_initial_data(model, grid_f0, grid_q0, resolution=180, refine_iters=5):
     bad = np.nonzero(dets <= 0.0)[0]
     if bad.size:
         raise DomainError(f"det F0 = {dets[bad[0]]:.3e} <= 0 at node {int(bad[0])}")
-    gammas = np.empty(f0.shape[0])
-    cache = {}
+    first, inverse = {}, np.empty(f0.shape[0], dtype=int)
     for i in range(f0.shape[0]):
-        key = (f0[i].tobytes(), q0[i].tobytes())
-        if key not in cache:
-            try:
-                tangent = viscous_tangent_q(model, f0[i], q0[i])
-            except SingularMatrix as exc:
-                raise SingularMatrix(f"node {i}: {exc}") from exc
-            cache[key] = rank_one_min(tangent, resolution, refine_iters).gamma_est
-        gammas[i] = cache[key]
+        inverse[i] = first.setdefault((f0[i].tobytes(), q0[i].tobytes()), i)
+    nodes = np.unique(inverse)
+    try:
+        mats = viscous_tangent_field(model, f0[nodes], q0[nodes])
+    except SingularMatrix as exc:
+        i = int(np.argmax(dets <= EPS_SINGULAR))
+        raise SingularMatrix(f"node {i}: det F0 = {dets[i]:.3e}") from exc
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    if not np.all(finite):
+        raise ValueError(f"non-finite tangent at node {nodes[np.argmin(finite)]}")
+    n = f0.shape[-1]
+    ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), resolution,
+                            refine_iters)[0]
+    gammas = np.empty(f0.shape[0])
+    gammas[nodes] = _gammas(ratio)
+    gammas = gammas[inverse]
     worst = int(np.argmax(gammas))
     return UniformGammaReport(float(np.max(gammas)), float(np.min(gammas)),
                               worst, int(f0.shape[0]))

@@ -173,6 +173,18 @@ def test_validate_vtk_rejects_truncated_files(tmp_path):
         bad.write_text(''.join(lines[:row] + [short] + lines[row + 1:]))
         with pytest.raises(ValueError, match=rf"^line {row + 1}: bad"):
             validate_vtk(bad)
+    # a malformed block after a blank line, on a 2D snapshot
+    spec = spec_from(tmp_path, "command = simulate\ndim = 2\ncells = 4\n"
+                               "dt = 0.01\nt_end = 0.01\n")
+    assert cmd_simulate(spec) == 0
+    text = (tmp_path / "out" / "snapshot_0000.vtk").read_text()
+    count = len(text.splitlines())
+    bad.write_text(text + "\nVECTORS junk double\nnot numbers at all\n")
+    with pytest.raises(ValueError, match=rf"^line {count + 2}: "):
+        validate_vtk(bad)
+    # trailing blank lines alone stay valid
+    bad.write_text(text + "\n\n  \n")
+    assert validate_vtk(bad) == 25
 
 
 def test_vtk_point_ordering_2d(tmp_path):

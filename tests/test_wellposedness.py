@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from viscolab.constitutive import ViscosityModel, random_deformations, viscous_tangent_q
-from viscolab.errors import DegenerateQ, DomainError, Unsupported
+from viscolab.errors import DegenerateQ, DomainError, SingularMatrix, Unsupported
 from viscolab.tensor_core import FourthOrderTensor
 from viscolab.wellposedness import (acoustic_spectrum, check_initial_data,
                                     closed_form_gamma, fourier_korn_sample,
                                     rank_one_min, sector_scan)
-from viscolab.wellposedness import _field_ratio
+from viscolab.wellposedness import _field_ratio, _gammas, _rank_one_batch
 
 SYM2 = FourthOrderTensor.sym_map(2)
 TWO_SYM2 = FourthOrderTensor(2, 2.0 * SYM2.mat)
@@ -116,6 +116,18 @@ def test_acoustic_spectrum_examples():
     assert sorted(eigs.real) == pytest.approx([1.0, 1.0], abs=1e-12)
     with pytest.raises(ValueError):
         acoustic_spectrum(SYM2, np.array([1.0, 1.0]))
+    # leading axes of k broadcast; every row must be a unit vector
+    ang = np.linspace(0.0, 2.0 * np.pi, 12).reshape(3, 4)
+    k = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    m = viscous_tangent_q(ViscosityModel.zm(1), np.array([[1.2, 0.3], [0.1, 0.9]]),
+                          np.array([[0.4, -1.0], [0.7, 0.2]]))
+    batch = acoustic_spectrum(m, k)
+    assert batch.shape == (3, 4, 2)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(batch[idx], acoustic_spectrum(m, k[idx]))
+    k[1, 2] *= 1.5
+    with pytest.raises(ValueError, match="is not 1"):
+        acoustic_spectrum(m, k)
 
 
 def test_acoustic_rayleigh_bound():
@@ -189,6 +201,10 @@ def test_check_initial_data_detects_inversion():
     f0[3] = np.diag([-1.0, 1.0])
     with pytest.raises(DomainError, match="node 3"):
         check_initial_data(m, f0, np.zeros((5, 2, 2)))
+    q0 = np.zeros((5, 2, 2))
+    q0[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="node 2"):
+        check_initial_data(ViscosityModel.zm(1), np.abs(f0), q0)
 
 
 def test_check_initial_data_degenerate_tangent():
@@ -198,6 +214,44 @@ def test_check_initial_data_degenerate_tangent():
     rep = check_initial_data(m, f0, np.zeros((4, 2, 2)), resolution=16)
     assert not rep.passed
     assert math.isinf(rep.gamma_sup)
+
+
+def test_check_initial_data_names_singular_node():
+    # 0 < det F0 <= EPS_SINGULAR passes the domain check but not the inverse
+    m = ViscosityModel.z0prime()
+    f0 = np.broadcast_to(np.eye(2), (6, 2, 2)).copy()
+    f0[4] = np.diag([1e-15, 1.0])
+    with pytest.raises(SingularMatrix, match="node 4"):
+        check_initial_data(m, f0, np.zeros((6, 2, 2)))
+
+
+@pytest.mark.parametrize("dim, model, resolution, rest", [
+    (2, ViscosityModel.zm(1), 360, True),
+    (2, ViscosityModel.zm(1), 360, False),
+    (3, ViscosityModel.z0prime(), 24, False),
+    (1, ViscosityModel.zm(1), 16, True),
+])
+def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
+    rng = np.random.default_rng(35)
+    f0 = random_deformations(dim, 6, rng)
+    q0 = rng.standard_normal((6, dim, dim))
+    # repeated nodes are computed once and must still get their own gamma
+    f0, q0 = np.concatenate([f0, f0[:2]]), np.concatenate([q0, q0[:2]])
+    if rest:
+        # the zm(1) tangent vanishes at Q0 = 0, so that node's gamma is inf
+        q0[3] = 0.0
+    single = np.array([rank_one_min(viscous_tangent_q(model, f, q),
+                                    resolution).gamma_est
+                       for f, q in zip(f0, q0)])
+    assert math.isinf(single[3]) == rest
+    mats = np.stack([viscous_tangent_q(model, f, q).as_tensor4()
+                     for f, q in zip(f0, q0)])
+    batch = _gammas(_rank_one_batch(mats, resolution, 5)[0])
+    assert np.array_equal(batch, single)
+    rep = check_initial_data(model, f0, q0, resolution=resolution)
+    assert rep.gamma_sup == single.max() and rep.gamma_inf == single.min()
+    assert rep.worst_node == int(np.argmax(single))
+    assert rep.nodes_checked == len(f0)
 
 
 @pytest.mark.parametrize("model", [ViscosityModel.z0doubleprime(),
