@@ -7,7 +7,11 @@ gradients at cell centers by averaged corner differences, the Kronecker
 product of a 1D difference along one axis with 1D averages along the
 others.  The gradient is G u, the stress divergence is -G_I^T P on the
 interior dofs, and the viscous operator is G_I^T blockdiag(M) G_I, so the
-summation-by-parts pair holds by construction.  Time stepping is
+summation-by-parts pair holds by construction.  That operator is
+assembled on a pattern fixed by the grid (see _operator_pattern): the
+per-cell gradient D is read from G's rows, each cell contributes
+D^T M_c D, and a cached scatter adds those local entries into CSR slots
+built once per grid.  Time stepping is
 semi-implicit: the elastic stress is explicit, the viscous stress is
 linearized around the frozen tangent D_Q Z and refrozen in a short Picard
 loop inside each step.  The frozen tangent is symmetric positive
@@ -16,6 +20,7 @@ gradients alone; a solve that does not converge ends the run as
 'linear_solver_failure'.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -30,6 +35,7 @@ from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
 
 CLAMP_TOL = 1e-10
 STEP_TOL = 1e-9
+SCATTER_BLOCK = 512     # cells per block of the local scatter in assembly
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ def clamped_gradient(dim, cells):
     the 1D difference on axis c with the 1D average on every other axis,
     i.e. the averaged corner difference.  Returns (G, G_I, G_I^T, dofs),
     where dofs are the interior (unclamped) nodal dofs and G_I = G[:, dofs].
-    The returned arrays are shared between callers and must not be mutated.
+    The returned arrays are shared between callers and read-only.
     """
     diff, avg = _difference_average(cells)
     n = dim
@@ -217,7 +223,117 @@ def clamped_gradient(dim, cells):
     interior = np.nonzero(~Grid(dim, cells).boundary_mask().reshape(-1))[0]
     dofs = (interior[:, None] * n + eye_r).reshape(-1)
     g_i = g[:, dofs].tocsr()
-    return g, g_i, g_i.T.tocsr(), dofs
+    g_it = g_i.T.tocsr()
+    _read_only(g.data, g.indices, g.indptr, g_i.data, g_i.indices, g_i.indptr,
+               g_it.data, g_it.indices, g_it.indptr, dofs)
+    return g, g_i, g_it, dofs
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class OperatorPattern:
+    """The grid-fixed part of the interior viscous operator.
+
+    d is the per-cell gradient (dim^2 x 2^dim dim) on the cell's local dofs
+    (corner, component), corner-major.  indices/indptr are the CSR pattern
+    of G_I^T blockdiag(M) G_I.  Each row holds its diagonal first and then
+    its other columns in descending order: the order in which scipy's sum of
+    a sparse product and a sparse identity left them, so matrix-vector
+    products in CG sum as they did when the operator was assembled that way
+    (1D runs reproduce bit for bit).  Each block (first cell, lo, hi, slots)
+    covers SCATTER_BLOCK cells whose local entries (cell, a, b) land in the
+    CSR range [lo, hi): slots holds slot - lo, or hi - lo (a trash slot)
+    where a or b is a clamped dof.
+    """
+
+    d: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    blocks: tuple
+
+    @property
+    def size(self):
+        return self.indptr.size - 1
+
+    @property
+    def diag(self):
+        return self.indptr[:-1]
+
+
+@lru_cache(maxsize=8)
+def _operator_pattern(dim, cells):
+    """Build the OperatorPattern of a grid once, from the stencil alone.
+
+    Row (i, r) of the interior operator couples interior node i, component
+    r, to every component s of the interior nodes i + o, o in {-1, 0, 1}^dim.
+    Row-major numbering orders those columns as the stencil entries (o, s)
+    lexicographically, so a column's place in its row follows from counting
+    in-domain entries, and a local entry between corners alpha and beta of
+    a cell is the stencil entry (beta - alpha, s).  The per-cell tables are
+    built one block of SCATTER_BLOCK cells at a time.
+    """
+    n = dim
+    g, _, _, dofs = clamped_gradient(dim, cells)
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+
+    def ravel(points, extent):
+        return np.ravel_multi_index(tuple(np.moveaxis(points, -1, 0)),
+                                    (extent,) * dim)
+
+    # slot of every stencil entry (o, s) of every interior row (i, r)
+    m = cells - 1
+    inner = np.stack(np.unravel_index(np.arange(m ** dim), (m,) * dim), axis=-1)
+    inside = np.ones((inner.shape[0], offsets.shape[0]), dtype=bool)
+    for ax in range(dim):
+        nbr = inner[:, ax, None] + offsets[:, ax]
+        inside &= (nbr >= 0) & (nbr < m)
+    valid = np.repeat(np.repeat(inside, n, axis=1), n, axis=0)
+    count = valid.sum(axis=1, dtype=np.int32)
+    indptr = np.concatenate(([0], np.cumsum(count, dtype=np.int32)))
+    rows = np.arange(count.size, dtype=np.int32)
+    centre = (offsets.shape[0] // 2) * n + rows % n
+    # place in the row: in-domain entries after (o, s), i.e. descending
+    # order, then the diagonal moved to the front
+    slot_of = count[:, None] - np.cumsum(valid, axis=1, dtype=np.int32)
+    slot_of += slot_of < slot_of[rows, centre][:, None]
+    slot_of[rows, centre] = 0
+    slot_of += indptr[:-1, None]
+    shift = (np.repeat(offsets @ m ** np.arange(dim - 1, -1, -1), n) * n
+             + np.tile(np.arange(n), offsets.shape[0])).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[slot_of[valid]] = ((rows - rows % n)[:, None] + shift)[valid]
+
+    # local dofs of every cell and the stencil entry of each (a, b) pair
+    lower = np.stack(np.unravel_index(np.arange(cells ** dim), (cells,) * dim),
+                     axis=-1)
+    local = (ravel(lower[:, None, :] + corners, cells + 1)[..., None] * n
+             + np.arange(n)).reshape(lower.shape[0], -1)
+    d = g[:n * n][:, local[0]].toarray()
+    interior = np.full(g.shape[1], -1)
+    interior[dofs] = np.arange(dofs.size)
+    corner_of = corners[np.repeat(np.arange(corners.shape[0]), n)]
+    step = corner_of[None, :, :] - corner_of[:, None, :]
+    entry = ravel(step + 1, 3) * n + np.tile(np.arange(n), corners.shape[0])
+
+    blocks = []
+    for first in range(0, lower.shape[0], SCATTER_BLOCK):
+        loc = interior[local[first:first + SCATTER_BLOCK]]
+        row, col = loc[:, :, None], loc[:, None, :]
+        kept = (row >= 0) & (col >= 0)
+        slot = slot_of[np.maximum(row, 0), entry]
+        hit = slot[kept]
+        lo, hi = int(hit.min()), int(hit.max()) + 1
+        slots = np.where(kept, slot - lo, hi - lo).astype(np.int32)
+        _read_only(slots)
+        blocks.append((first, lo, hi, slots))
+    pattern = OperatorPattern(d, indices, indptr, tuple(blocks))
+    _read_only(pattern.d, pattern.indices, pattern.indptr)
+    return pattern
 
 
 def gradient_field(grid, nodal):
@@ -247,7 +363,8 @@ class ViscousOperator:
     m_cells holds the frozen tangent per cell as (cells..., n^2, n^2).
     The interior matrix is G_I^T blockdiag(M) G_I, the same composition of
     gradient_field, the cell-wise tangent and stress_divergence that apply
-    performs matrix-free.
+    performs matrix-free.  It is assembled as the sum over cells of
+    D^T M_c D, scattered into the grid's fixed CSR pattern.
     """
 
     def __init__(self, grid, m_cells):
@@ -266,19 +383,17 @@ class ViscousOperator:
 
     def interior_matrix(self):
         if self._matrix is None:
-            _, g_i, g_it, _ = clamped_gradient(self.grid.dim, self.grid.cells)
+            pat = _operator_pattern(self.grid.dim, self.grid.cells)
             k = self.grid.dim ** 2
-            rows = g_i.shape[0]
-            cols = np.arange(rows).reshape(-1, 1, k).repeat(k, axis=1)
-            blocks = sp.csr_matrix((self.m_cells.reshape(-1), cols.reshape(-1),
-                                    np.arange(0, rows * k + 1, k)),
-                                   shape=(rows, rows))
-            self._matrix = (g_it @ blocks @ g_i).tocsr()
+            m = self.m_cells.reshape(-1, k, k)
+            data = np.zeros(pat.indices.size)
+            for first, lo, hi, slots in pat.blocks:
+                local = pat.d.T @ (m[first:first + slots.shape[0]] @ pat.d)
+                data[lo:hi] += np.bincount(slots.reshape(-1), local.reshape(-1),
+                                           minlength=hi - lo + 1)[:-1]
+            self._matrix = sp.csr_matrix((data, pat.indices, pat.indptr),
+                                         shape=(pat.size, pat.size))
         return self._matrix
-
-
-def assemble_viscous_operator(grid, m_cells):
-    return ViscousOperator(grid, m_cells)
 
 
 def identity_tangent(grid):
@@ -299,6 +414,14 @@ def _from_interior(grid, vec):
     return out.reshape(grid.node_shape + (grid.dim,))
 
 
+def _shifted(op, alpha):
+    """alpha I + the interior matrix of op: a new CSR on the same pattern."""
+    a = op.interior_matrix()
+    data = a.data.copy()
+    data[_operator_pattern(op.grid.dim, op.grid.cells).diag] += alpha
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
+
+
 def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     """Solve (alpha I + L) v = rhs on the interior, zero on the boundary.
 
@@ -312,7 +435,7 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     b = _interior_vec(grid, rhs_nodal)
     if not np.any(b):
         return np.zeros(grid.node_shape + (grid.dim,))
-    a = op.interior_matrix() + alpha * sp.identity(b.size, format='csr')
+    a = _shifted(op, alpha)
     x0 = None if x0_nodal is None else _interior_vec(grid, x0_nodal)
     maxiter = max(1000, 2 * b.size)
     x, info = spla.cg(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter)
@@ -357,7 +480,7 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         corr = viscous_stress(model.viscosity, f_cells, grad_vk) \
             - _apply_tangent(grid, m_k, grad_vk)
         rhs = rhs_fixed + stress_divergence(grid, corr)
-        op = assemble_viscous_operator(grid, m_k)
+        op = ViscousOperator(grid, m_k)
         v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol, x0_nodal=v_k)
         if not np.all(np.isfinite(v_new)):
             raise PicardDivergence("non-finite iterate")
@@ -423,9 +546,7 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
     bmask = grid.boundary_mask()
     if np.max(np.abs(xi1[bmask])) > CLAMP_TOL:
         raise BoundaryMismatch("extension velocity must vanish on the boundary")
-    op = assemble_viscous_operator(grid, identity_tangent(grid))
-    a = op.interior_matrix() + (1.0 / dt) * sp.identity(
-        op.interior_matrix().shape[0], format='csr')
+    a = _shifted(ViscousOperator(grid, identity_tangent(grid)), 1.0 / dt)
     try:
         lu = spla.splu(a.tocsc())
     except RuntimeError as exc:

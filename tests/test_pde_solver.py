@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
                                    viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig)
-from viscolab.pde_solver import (ExactSolution, SolverConfig,
-                                 assemble_viscous_operator, build_grid,
-                                 gradient_field, heat_extension,
-                                 identity_tangent, init_state,
+from viscolab.pde_solver import (ExactSolution, Grid, SolverConfig,
+                                 ViscousOperator, build_grid,
+                                 clamped_gradient, gradient_field,
+                                 heat_extension, identity_tangent, init_state,
                                  manufactured_default, manufactured_run, run,
                                  semi_implicit_step, solve_shifted,
-                                 stress_divergence, _interior_vec)
+                                 stress_divergence, _interior_vec,
+                                 _operator_pattern)
 from viscolab.tensor_core import FourthOrderTensor
 from viscolab.wellposedness import rank_one_min
 
@@ -133,7 +135,7 @@ def test_summation_by_parts_adjointness(dim):
 
 def test_operator_identity_map_annihilates_linear():
     g = build_grid(2, 8)
-    op = assemble_viscous_operator(g, identity_tangent(g))
+    op = ViscousOperator(g, identity_tangent(g))
     x = np.array(g.node_positions(), copy=True)
     out = op.apply(x)
     assert np.max(np.abs(out)) <= 1e-12
@@ -147,7 +149,7 @@ def test_operator_assembly_matches_matrix_free(dim):
                               np.broadcast_to(np.eye(dim), g.cell_shape + (dim, dim))
                               + 0.1 * rng.standard_normal(g.cell_shape + (dim, dim)),
                               rng.standard_normal(g.cell_shape + (dim, dim)))
-    op = assemble_viscous_operator(g, m)
+    op = ViscousOperator(g, m)
     for _ in range(5):
         w = clamped_noise(g, rng)
         via_matrix = op.interior_matrix() @ _interior_vec(g, w)
@@ -161,7 +163,7 @@ def test_operator_hand_assembled_tridiagonal():
     f = np.broadcast_to(np.eye(1), g.cell_shape + (1, 1))
     m = viscous_tangent_field(ViscosityModel.z0doubleprime(), f,
                               np.zeros(g.cell_shape + (1, 1)))
-    op = assemble_viscous_operator(g, m)
+    op = ViscousOperator(g, m)
     h = g.spacing
     expected = (2.0 / h ** 2) * np.array([[2.0, -1.0, 0.0],
                                           [-1.0, 2.0, -1.0],
@@ -174,7 +176,7 @@ def test_operator_symmetric_positive():
     m = viscous_tangent_field(ViscosityModel.z0doubleprime(),
                               np.broadcast_to(np.eye(2), g.cell_shape + (2, 2)),
                               np.zeros(g.cell_shape + (2, 2)))
-    a = assemble_viscous_operator(g, m).interior_matrix().toarray()
+    a = ViscousOperator(g, m).interior_matrix().toarray()
     assert np.max(np.abs(a - a.T)) <= 1e-12
     assert np.linalg.eigvalsh(a).min() >= -1e-10
 
@@ -185,7 +187,7 @@ def test_operator_coercivity_on_smooth_fields():
     g = build_grid(2, 32)
     m2 = FourthOrderTensor.sym_map(2)
     ratio_min = rank_one_min(m2).ratio_min
-    op = assemble_viscous_operator(
+    op = ViscousOperator(
         g, np.broadcast_to(m2.mat, g.cell_shape + (4, 4)))
     x = g.node_positions()
     rng = np.random.default_rng(44)
@@ -262,7 +264,7 @@ def test_semi_implicit_step_dense_oracle():
 
     f = gradient_field(g, st.xi)
     m = viscous_tangent_field(W0_Z0DP.viscosity, f, gradient_field(g, st.v))
-    a = assemble_viscous_operator(g, m).interior_matrix().toarray()
+    a = ViscousOperator(g, m).interior_matrix().toarray()
     a += np.eye(a.shape[0]) / dt
     rhs = _interior_vec(g, st.v / dt
                         + stress_divergence(g, piola_stress(W0_Z0DP.energy, f)))
@@ -270,9 +272,67 @@ def test_semi_implicit_step_dense_oracle():
     assert np.max(np.abs(_interior_vec(g, stepped.v) - v_expected)) <= 1e-10
 
 
+def triple_product(grid, m_cells):
+    # the operator as the sparse product G_I^T blockdiag(M) G_I
+    _, g_i, g_it, _ = clamped_gradient(grid.dim, grid.cells)
+    k = grid.dim ** 2
+    rows = g_i.shape[0]
+    cols = np.arange(rows).reshape(-1, 1, k).repeat(k, axis=1)
+    blocks = sp.csr_matrix((m_cells.reshape(-1), cols.reshape(-1),
+                            np.arange(0, rows * k + 1, k)), shape=(rows, rows))
+    a = (g_it @ blocks @ g_i).tocsr()
+    a.sort_indices()
+    return a
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 4), (1, 512), (2, 4), (2, 40),
+                                       (3, 4), (3, 10)])
+def test_interior_matrix_matches_triple_product(dim, cells):
+    # a non-symmetric tangent, so a scatter that swaps (a, b) shows; 2D 40^2
+    # spans several scatter blocks; 3D grids are built by hand
+    g = Grid(dim, cells)
+    k = dim * dim
+    m = np.random.default_rng(48).standard_normal(g.cell_shape + (k, k))
+    a = ViscousOperator(g, m).interior_matrix().sorted_indices()
+    oracle = triple_product(g, m)
+    assert np.array_equal(a.indptr, oracle.indptr)
+    assert np.array_equal(a.indices, oracle.indices)
+    if dim == 1:
+        assert np.array_equal(a.data, oracle.data)
+    else:
+        err = np.max(np.abs(a.data - oracle.data))
+        assert err <= 1e-15 * np.max(np.abs(oracle.data))
+
+
+def test_cached_grid_arrays_read_only():
+    g, g_i, g_it, dofs = clamped_gradient(2, 6)
+    pat = _operator_pattern(2, 6)
+    arrays = [g.data, g.indices, g.indptr, g_i.data, g_i.indices, g_i.indptr,
+              g_it.data, g_it.indices, g_it.indptr, dofs, pat.d, pat.indices,
+              pat.indptr] + [slots for *_, slots in pat.blocks]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.reshape(-1)[0] = 0
+
+
+def test_solve_shifted_leaves_operator_unchanged():
+    g = build_grid(2, 8)
+    m = viscous_tangent_field(ViscosityModel.z0doubleprime(),
+                              np.broadcast_to(np.eye(2), g.cell_shape + (2, 2)),
+                              np.zeros(g.cell_shape + (2, 2)))
+    rhs = clamped_noise(g, np.random.default_rng(49))
+    op = ViscousOperator(g, m)
+    before = op.interior_matrix().data.copy()
+    solve_shifted(op, 5.0, rhs, 1e-10)
+    second = solve_shifted(op, 7.0, rhs, 1e-10)
+    assert np.array_equal(op.interior_matrix().data, before)
+    assert np.array_equal(second,
+                          solve_shifted(ViscousOperator(g, m), 7.0, rhs, 1e-10))
+
+
 def test_solve_shifted_zero_rhs_fast_path():
     g = build_grid(1, 8)
-    op = assemble_viscous_operator(g, identity_tangent(g))
+    op = ViscousOperator(g, identity_tangent(g))
     out = solve_shifted(op, 10.0, np.zeros(g.node_shape + (1,)), 1e-10)
     assert not out.any()
 
@@ -380,7 +440,7 @@ def test_solve_shifted_raises_when_cg_fails(monkeypatch):
 
     monkeypatch.setattr(mod, 'spla', FailingKrylov())
     g = build_grid(1, 16)
-    op = assemble_viscous_operator(g, identity_tangent(g))
+    op = ViscousOperator(g, identity_tangent(g))
     rhs = clamped_noise(g, np.random.default_rng(47))
     with pytest.raises(LinearSolveFailure):
         solve_shifted(op, 100.0, rhs, 1e-10)
