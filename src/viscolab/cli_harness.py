@@ -265,24 +265,24 @@ def write_diagnostics_csv(path, energy_rep, mindet):
 
 def write_vtk_snapshot(path, grid, state):
     """Legacy-ASCII structured grid with point vectors xi and v."""
-    nx = grid.cells + 1
-    ny = grid.cells + 1 if grid.dim == 2 else 1
-    npts = nx * ny
+    dims = ' '.join(str(n) for n in grid.node_shape + (1,) * (3 - grid.dim))
+    npts = grid.num_nodes
     # '%.17g' formats exactly as _fmt
     rows = '%.17g %.17g %.17g\n' * npts
+    axes = list(range(grid.dim))
 
     def table(a):
-        # VTK orders points with x fastest; our arrays index (ix, iy)
-        out = np.zeros((ny, nx, 3))
-        out[..., :grid.dim] = np.swapaxes(a.reshape(nx, ny, grid.dim), 0, 1)
-        return rows % tuple(out.ravel().tolist())
+        # VTK orders points with x fastest; our arrays index (ix, iy, iz)
+        out = np.zeros(grid.node_shape + (3,))
+        out[..., :grid.dim] = a.reshape(grid.node_shape + (grid.dim,))
+        return rows % tuple(np.moveaxis(out, axes, axes[::-1]).ravel().tolist())
 
     with open(path, 'w', encoding='utf-8', newline='\n') as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"viscolab snapshot t={_fmt(state.time)}\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {nx} {ny} 1\n")
+        fh.write(f"DIMENSIONS {dims}\n")
         fh.write(f"POINTS {npts} double\n")
         fh.write(table(grid.node_positions()))
         fh.write(f"POINT_DATA {npts}\n")

@@ -98,14 +98,13 @@ def min_det_series(traj, grid):
 def _second_space_diff_norm_p(grid, nodal, p):
     """Sum over interior nodes of |second axis-aligned differences|^p."""
     h2 = grid.spacing ** 2
-    if grid.dim == 1:
-        d2 = (nodal[2:] - 2.0 * nodal[1:-1] + nodal[:-2]) / h2
-        mag2 = np.sum(d2 * d2, axis=-1)
-    else:
-        inner = nodal[1:-1, 1:-1]
-        dxx = (nodal[2:, 1:-1] - 2.0 * inner + nodal[:-2, 1:-1]) / h2
-        dyy = (nodal[1:-1, 2:] - 2.0 * inner + nodal[1:-1, :-2]) / h2
-        mag2 = np.sum(dxx * dxx, axis=-1) + np.sum(dyy * dyy, axis=-1)
+    inner = (slice(1, -1),) * grid.dim
+    mag2 = 0.0
+    for ax in range(grid.dim):
+        plus = inner[:ax] + (slice(2, None),) + inner[ax + 1:]
+        minus = inner[:ax] + (slice(None, -2),) + inner[ax + 1:]
+        d2 = (nodal[plus] - 2.0 * nodal[inner] + nodal[minus]) / h2
+        mag2 += np.sum(d2 * d2, axis=-1)
     return float(np.sum(mag2 ** (p / 2.0)))
 
 

@@ -1,12 +1,12 @@
 """Structured-grid discretization of the viscoelastic momentum balance.
 
-The domain is the unit interval (1D) or unit square (2D) with clamped
-boundary nodes.  Every discrete operator is built from one sparse matrix,
-the cell gradient G (see clamped_gradient): it maps nodal vectors to
-gradients at cell centers by averaged corner differences, the Kronecker
-product of a 1D difference along one axis with 1D averages along the
-others.  The gradient is G u, the stress divergence is -G_I^T P on the
-interior dofs, and the viscous operator is G_I^T blockdiag(M) G_I, so the
+The domain is [0,1]^dim (dim 1-3) with clamped boundary nodes.  Every
+discrete operator is built from one sparse matrix, the cell gradient G
+(see clamped_gradient): it maps nodal vectors to gradients at cell
+centers by averaged corner differences, the Kronecker product of a 1D
+difference along one axis with 1D averages along the others.  The
+gradient is G u, the stress divergence is -G_I^T P on the interior dofs,
+and the viscous operator is G_I^T blockdiag(M) G_I, so the
 summation-by-parts pair holds by construction.  That operator is
 assembled on a pattern fixed by the grid (see _operator_pattern): the
 per-cell gradient D is read from G's rows, each cell contributes
@@ -84,8 +84,8 @@ class Grid:
 
 
 def build_grid(dim, cells):
-    if dim not in (1, 2):
-        raise InvalidConfig(f"dim must be 1 or 2, got {dim}")
+    if dim not in (1, 2, 3):
+        raise InvalidConfig(f"dim must be 1, 2 or 3, got {dim}")
     if cells < 4:
         raise InvalidConfig(f"cells must be at least 4, got {cells}")
     return Grid(dim, cells)
@@ -622,24 +622,13 @@ def manufactured_run(model, grid, cfg, exact):
 
 
 def manufactured_default(dim, amplitude=0.01):
-    """Reference verification case: a decaying sine bump on the first axis."""
+    """Reference verification case: a decaying product-of-sines bump in the
+    first component, clamped on every face of [0,1]^dim."""
     a = amplitude
     pi = np.pi
-    if dim == 1:
-        def shape(x):
-            return np.sin(pi * x[..., 0])
 
-        def dshape(x):
-            return pi * np.cos(pi * x[..., 0])
-    else:
-        def shape(x):
-            return np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
-
-        def dshape(x):
-            # gradient of the 2D bump, shape (..., 2)
-            return np.stack([
-                pi * np.cos(pi * x[..., 0]) * np.sin(pi * x[..., 1]),
-                pi * np.sin(pi * x[..., 0]) * np.cos(pi * x[..., 1])], axis=-1)
+    def shape(x):
+        return reduce(np.multiply, [np.sin(pi * x[..., s]) for s in range(dim)])
 
     def xi(t, x):
         out = np.array(x, dtype=float).copy()
@@ -657,15 +646,14 @@ def manufactured_default(dim, amplitude=0.01):
         return out
 
     def _bump_grad(t, x, coef):
-        # first row of the gradient carries the bump derivative
+        # first row of the gradient carries the bump derivative: entry c is
+        # pi times the per-axis factors in axis order, with cos at axis c
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (dim, dim))
-        if dim == 1:
-            out[..., 0, 0] = coef * dshape(x)
-        else:
-            ds = dshape(x)
-            out[..., 0, 0] = coef * ds[..., 0]
-            out[..., 0, 1] = coef * ds[..., 1]
+        for c in range(dim):
+            out[..., 0, c] = coef * reduce(
+                np.multiply, [(np.cos if s == c else np.sin)(pi * x[..., s])
+                              for s in range(dim)], pi)
         return out
 
     def grad_xi(t, x):

@@ -9,6 +9,7 @@ trigonometric fields where the space integrals reduce to exact coefficient
 sums.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -271,16 +272,8 @@ def sector_scan(m, num_directions):
 
 def _half_space_modes(dim, max_modes):
     """Nonzero integer modes |k| <= max_modes, one representative per +-pair."""
-    rng = range(-max_modes, max_modes + 1)
     out = []
-    if dim == 1:
-        out = [np.array([k], dtype=float) for k in range(1, max_modes + 1)]
-        return out
-    if dim == 2:
-        grid = [(i, j) for i in rng for j in rng]
-    else:
-        grid = [(i, j, l) for i in rng for j in rng for l in rng]
-    for k in grid:
+    for k in itertools.product(range(-max_modes, max_modes + 1), repeat=dim):
         kk = np.array(k, dtype=float)
         if np.dot(kk, kk) == 0 or np.dot(kk, kk) > max_modes ** 2:
             continue

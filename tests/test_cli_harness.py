@@ -201,6 +201,24 @@ def test_vtk_point_ordering_2d(tmp_path):
     assert ys == pytest.approx([0.0] * 5)
 
 
+def test_vtk_point_ordering_3d(tmp_path):
+    # x varies fastest, then y, then z, in the points and in the vectors
+    grid = pde_solver.build_grid(3, 4)
+    pos = grid.node_positions()
+    state = pde_solver.FieldState(0.0, pos, pos * [1.0, 10.0, 100.0])
+    path = tmp_path / "snap.vtk"
+    write_vtk_snapshot(path, grid, state)
+    lines = path.read_text().splitlines()
+    assert lines[4] == "DIMENSIONS 5 5 5"
+    rows = np.array([[float(t) for t in line.split()] for line in lines[6:131]])
+    order = [(ix, iy, iz) for iz in range(5) for iy in range(5) for ix in range(5)]
+    assert np.array_equal(rows, np.array(order) / 4.0)
+    assert lines[258] == "VECTORS v double"
+    v = np.array([[float(t) for t in line.split()] for line in lines[259:384]])
+    assert np.array_equal(v, np.array(order) / 4.0 * [1.0, 10.0, 100.0])
+    assert validate_vtk(path) == 125
+
+
 def per_row_vtk(path, grid, state):
     # the per-number writer that write_vtk_snapshot replaced, kept as oracle
     nx = grid.cells + 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from viscolab.constitutive import ConstitutiveModel, EnergyModel, ViscosityModel
-from viscolab.diagnostics import energy_report, min_det_series, theta_norm
+from viscolab.diagnostics import (energy_report, min_det_series, theta_norm,
+                                  _second_space_diff_norm_p)
 from viscolab.errors import MismatchedSampling
 from viscolab.pde_solver import (FieldState, SolverConfig, Termination,
                                  Trajectory, build_grid, heat_extension,
@@ -117,3 +118,32 @@ def test_theta_mismatched_sampling(decay):
         theta_norm(clipped, ext, grid, p=4.0)
     with pytest.raises(ValueError):
         theta_norm(traj, ext, grid, p=2.0)
+
+
+@pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1),
+                                      (3, 0), (3, 1), (3, 2)])
+def test_second_space_diff_norm_quadratic_one_axis(dim, axis):
+    # u = c x_axis^2 has second difference 2c along that axis and 0 along
+    # the others, at each of the (cells - 1)^dim interior nodes
+    grid = build_grid(dim, 8)
+    c = np.arange(1.0, dim + 1.0)
+    nodal = grid.node_positions()[..., axis, None] ** 2 * c
+    p = 6.0
+    exact = 7 ** dim * np.linalg.norm(2.0 * c) ** p
+    assert _second_space_diff_norm_p(grid, nodal, p) == pytest.approx(exact, rel=1e-9)
+
+
+def test_run_3d_decay_end_to_end():
+    grid = build_grid(3, 6)
+    state = init_state(
+        grid, lambda x: np.array(x, copy=True),
+        lambda x: 0.1 * np.prod(np.sin(np.pi * x), axis=-1)[..., None]
+        * np.array([1.0, -0.5, 0.25]), 1e-3)
+    traj = run(MODEL, grid, SolverConfig(dt=1e-3, t_end=0.01), state)
+    assert traj.termination.kind == 'completed'
+    assert len(traj.states) == 11
+    rep = energy_report(traj, MODEL, grid)
+    assert np.all(np.diff(rep.kinetic + rep.elastic) <= 0.0)
+    assert np.all(np.diff(rep.dissipated_cumulative) >= 0.0)
+    ext = heat_extension(grid, state.xi, state.v, 1e-3, 0.01)
+    assert np.isfinite(theta_norm(traj, ext, grid, p=6.0).theta)

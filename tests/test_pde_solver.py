@@ -6,7 +6,7 @@ from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
                                    viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig)
-from viscolab.pde_solver import (ExactSolution, Grid, SolverConfig,
+from viscolab.pde_solver import (ExactSolution, SolverConfig,
                                  ViscousOperator, build_grid,
                                  clamped_gradient, gradient_field,
                                  heat_extension, identity_tangent, init_state,
@@ -38,10 +38,13 @@ def test_build_grid_examples():
     g2 = build_grid(2, 4)
     assert g2.num_nodes == 25
     assert int(g2.boundary_mask().sum()) == 16
+    g3 = build_grid(3, 4)
+    assert g3.num_nodes == 125
+    assert int(g3.boundary_mask().sum()) == 98
     with pytest.raises(InvalidConfig):
         build_grid(2, 3)
     with pytest.raises(InvalidConfig):
-        build_grid(3, 8)
+        build_grid(4, 8)
 
 
 def test_init_state_rest_and_bump():
@@ -289,8 +292,8 @@ def triple_product(grid, m_cells):
                                        (3, 4), (3, 10)])
 def test_interior_matrix_matches_triple_product(dim, cells):
     # a non-symmetric tangent, so a scatter that swaps (a, b) shows; 2D 40^2
-    # spans several scatter blocks; 3D grids are built by hand
-    g = Grid(dim, cells)
+    # spans several scatter blocks
+    g = build_grid(dim, cells)
     k = dim * dim
     m = np.random.default_rng(48).standard_normal(g.cell_shape + (k, k))
     a = ViscousOperator(g, m).interior_matrix().sorted_indices()
@@ -514,7 +517,7 @@ def test_manufactured_rest_exact():
 
 
 def test_manufactured_default_clamped_and_admissible():
-    for dim in (1, 2):
+    for dim in (1, 2, 3):
         exact = manufactured_default(dim, amplitude=0.05)
         g = build_grid(dim, 8)
         x = g.node_positions()
@@ -523,6 +526,15 @@ def test_manufactured_default_clamped_and_admissible():
         assert np.max(np.abs(exact.xi_t(0.3, x)[bmask])) <= 1e-15
         dets = np.linalg.det(exact.grad_xi(0.0, g.cell_centers()))
         assert dets.min() > 0.5
+        # the gradients are those of xi and xi_t: central differences,
+        # column c along axis c
+        c = g.cell_centers()
+        eps = 1e-6
+        for field, grad in ((exact.xi, exact.grad_xi),
+                            (exact.xi_t, exact.grad_xi_t)):
+            fd = np.stack([(field(0.3, c + eps * e) - field(0.3, c - eps * e))
+                           / (2.0 * eps) for e in np.eye(dim)], axis=-1)
+            assert np.max(np.abs(grad(0.3, c) - fd)) <= 1e-8
 
 
 def test_affine_equilibrium_interior_residual():
