@@ -368,6 +368,15 @@ def _initial_state(spec, grid):
     return pde_solver.init_state(grid, xi0, xi1, spec.det_floor)
 
 
+def _closed_form(viscosity, f0, q0):
+    """Catalogue gamma at (f0, q0) as (value or None, report text, note)."""
+    try:
+        value = wellposedness.closed_form_gamma(viscosity, f0, q0)
+    except (DegenerateQ, Unsupported, DomainError) as exc:
+        return None, 'undefined', f"{type(exc).__name__}: {exc}"
+    return value, _fmt(value), 'ok'
+
+
 def cmd_check(spec):
     """Node-wise gamma certification of the preset's initial data."""
     _prepare_outdir(spec)
@@ -382,13 +391,8 @@ def cmd_check(spec):
     worst_m = constitutive.viscous_tangent_q(
         viscosity, f0[report.worst_node], q0[report.worst_node])
     sector = wellposedness.sector_scan(worst_m, spec.num_directions)
-    try:
-        closed = _fmt(wellposedness.closed_form_gamma(
-            viscosity, f0[report.worst_node], q0[report.worst_node]))
-        closed_note = 'ok'
-    except (DegenerateQ, Unsupported, DomainError) as exc:
-        closed = 'undefined'
-        closed_note = f"{type(exc).__name__}: {exc}"
+    _, closed, closed_note = _closed_form(
+        viscosity, f0[report.worst_node], q0[report.worst_node])
     items = [
         ('command', 'check'),
         ('viscosity', spec.viscosity),
@@ -422,14 +426,7 @@ def cmd_korn(spec):
     sector = wellposedness.sector_scan(tangent, spec.num_directions)
     worst = wellposedness.fourier_korn_sample(tangent, spec.num_fields,
                                               spec.max_modes, spec.seed)
-    try:
-        closed_val = wellposedness.closed_form_gamma(viscosity, f0, q0)
-        closed = _fmt(closed_val)
-        closed_note = 'ok'
-    except (DegenerateQ, Unsupported, DomainError) as exc:
-        closed_val = None
-        closed = 'undefined'
-        closed_note = f"{type(exc).__name__}: {exc}"
+    closed_val, closed, closed_note = _closed_form(viscosity, f0, q0)
     # the m = 0 catalogue constant is known to undershoot the rank-one
     # optimum; report both values and flag the gap instead of hiding it
     discrepancy = (closed_val is not None and math.isfinite(r1.gamma_est)

@@ -184,22 +184,8 @@ def init_state(grid, xi0, xi1, det_floor):
     return FieldState(0.0, xi, v)
 
 
-def _difference_average(cells):
-    """1D factors on cells + 1 nodes: difference quotient and midpoint average."""
-    lo = sp.eye(cells, cells + 1, format='csr')
-    hi = sp.eye(cells, cells + 1, k=1, format='csr')
-    return (hi - lo) * cells, 0.5 * (lo + hi)
-
-
 def _kron_all(factors):
     return reduce(lambda a, b: sp.kron(a, b, format='csr'), factors)
-
-
-@lru_cache(maxsize=8)
-def cell_average(dim, cells):
-    """Sparse map from row-major nodal values to their cell-center averages."""
-    _, avg = _difference_average(cells)
-    return _kron_all([avg] * dim)
 
 
 @lru_cache(maxsize=8)
@@ -213,7 +199,10 @@ def clamped_gradient(dim, cells):
     where dofs are the interior (unclamped) nodal dofs and G_I = G[:, dofs].
     The returned arrays are shared between callers and read-only.
     """
-    diff, avg = _difference_average(cells)
+    # 1D factors on cells + 1 nodes: difference quotient and midpoint average
+    lo = sp.eye(cells, cells + 1, format='csr')
+    hi = sp.eye(cells, cells + 1, k=1, format='csr')
+    diff, avg = (hi - lo) * cells, 0.5 * (lo + hi)
     n = dim
     eye_r = np.arange(n)
     g = sum(sp.kron(_kron_all([diff if a == c else avg for a in range(n)]),

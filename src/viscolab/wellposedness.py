@@ -75,17 +75,14 @@ def _gammas(ratio):
 
 def _sphere_grid(dim, res):
     if dim == 2:
-        ang = np.linspace(0.0, np.pi, res, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1), ang[:, None]
-    # midpoint latitudes avoid the polar degeneracy of the chart
-    theta = (np.arange(res) + 0.5) * np.pi / res
-    phi = np.arange(res) * 2.0 * np.pi / res
-    tt, pp = np.meshgrid(theta, phi, indexing='ij')
-    vec = np.stack([np.sin(tt) * np.cos(pp),
-                    np.sin(tt) * np.sin(pp),
-                    np.cos(tt)], axis=-1).reshape(-1, 3)
-    coords = np.stack([tt, pp], axis=-1).reshape(-1, 2)
-    return vec, coords
+        coords = np.linspace(0.0, np.pi, res, endpoint=False)[:, None]
+    else:
+        # midpoint latitudes avoid the polar degeneracy of the chart
+        theta = (np.arange(res) + 0.5) * np.pi / res
+        phi = np.arange(res) * 2.0 * np.pi / res
+        coords = np.stack(np.meshgrid(theta, phi, indexing='ij'),
+                          axis=-1).reshape(-1, 2)
+    return _unit_from_coords(dim, coords), coords
 
 
 def _unit_from_coords(dim, c):

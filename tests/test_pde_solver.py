@@ -307,6 +307,20 @@ def test_interior_matrix_matches_triple_product(dim, cells):
         assert err <= 1e-15 * np.max(np.abs(oracle.data))
 
 
+@pytest.mark.parametrize("dim,cells", [(1, 6), (2, 40), (3, 6)])
+def test_interior_matrix_row_order(dim, cells):
+    # CG sums each row of a product in stored order; the diagonal first and
+    # then strictly descending columns keep 1D runs bit-reproducible
+    g = build_grid(dim, cells)
+    k = dim * dim
+    m = np.random.default_rng(48).standard_normal(g.cell_shape + (k, k))
+    a = ViscousOperator(g, m).interior_matrix()
+    for row in range(a.shape[0]):
+        cols = a.indices[a.indptr[row]:a.indptr[row + 1]]
+        assert cols[0] == row
+        assert np.all(np.diff(cols[1:]) < 0)
+
+
 def test_cached_grid_arrays_read_only():
     g, g_i, g_it, dofs = clamped_gradient(2, 6)
     pat = _operator_pattern(2, 6)
