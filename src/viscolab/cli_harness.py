@@ -144,6 +144,8 @@ def _validate(values):
         if values[key] is not None:
             need(key, len(values[key]) == nn,
                  f"needs {nn} comma-separated entries for dim {values['dim']}")
+            need(key, all(math.isfinite(x) for x in values[key]),
+                 "entries must be finite")
 
 
 def parse_config(text):
@@ -296,8 +298,9 @@ def validate_vtk(path):
 
     Returns the point count; raises ValueError on any malformed or missing
     section, naming the line where the file ends early, a line has the
-    wrong number of fields, or anything but blank lines follows the first
-    blank line after the data arrays.
+    wrong number of fields, a point or vector row is not three finite
+    numbers, or anything but blank lines follows the first blank line after
+    the data arrays.
     """
     with open(path, encoding='utf-8') as fh:
         lines = [ln.rstrip('\n') for ln in fh]
@@ -312,6 +315,15 @@ def validate_vtk(path):
         if len(row) != count:
             raise ValueError(f"line {cursor + 1}: bad {what}")
         return row
+
+    def numbers(cursor, what):
+        row = tokens(cursor, 3, what)
+        try:
+            ok = all(math.isfinite(float(x)) for x in row)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"line {cursor + 1}: bad {what}")
 
     if line(0, "header line") != "# vtk DataFile Version 3.0":
         raise ValueError("line 1: bad header line")
@@ -330,7 +342,7 @@ def validate_vtk(path):
         raise ValueError("line 6: point count does not match DIMENSIONS")
     cursor = 6
     for _ in range(npts):
-        tokens(cursor, 3, "point row")
+        numbers(cursor, "point row")
         cursor += 1
     if line(cursor, "POINT_DATA line") != f"POINT_DATA {npts}":
         raise ValueError(f"line {cursor + 1}: bad POINT_DATA line")
@@ -343,9 +355,7 @@ def validate_vtk(path):
         names.append(head[1])
         cursor += 1
         for _ in range(npts):
-            row = tokens(cursor, 3, "vector row")
-            if not all(math.isfinite(float(x)) for x in row):
-                raise ValueError(f"line {cursor + 1}: bad vector row")
+            numbers(cursor, "vector row")
             cursor += 1
     for rest in range(cursor, len(lines)):
         if lines[rest].strip():

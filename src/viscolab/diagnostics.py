@@ -1,11 +1,11 @@
 """Trajectory monitors: energy balance, determinant floor, deviation norms.
 
 The energy bookkeeping uses the solver's own discretization.  Kinetic
-energy and forcing work are nodal sums with the scheme's mass h^d per node;
-elastic energy and dissipation are cell sums at the cell centers where the
-discrete gradients live.  The summation-by-parts pair then gives
-d/dt 1/2 h^d sum|v|^2 = -h^d sum_cells P : G v exactly.  Time integrals
-accumulate trapezoidally over the stored snapshots.
+energy is a nodal sum with the scheme's mass h^d per node; elastic energy
+and dissipation are cell sums at the cell centers where the discrete
+gradients live.  The summation-by-parts pair then gives
+d/dt 1/2 h^d sum|v|^2 = -h^d sum_cells P : G v exactly.  The dissipation
+integral accumulates trapezoidally over the stored snapshots.
 """
 
 from dataclasses import dataclass
@@ -41,14 +41,14 @@ class ThetaReport:
     p_norm: float
 
 
-def energy_report(traj, model, grid, forcing=None):
-    """Kinetic/elastic/dissipation series and the balance residual.
+def energy_report(traj, model, grid):
+    """Kinetic/elastic/dissipation series and the balance residual of an
+    unforced trajectory.
 
-    Kinetic energy is 1/2 h^d sum_nodes |v|^2 and forcing work accrues at
-    h^d sum_nodes f . v, the nodal mass of semi_implicit_step; elastic
-    energy and dissipation rate are h^d sums over cells of W(G xi) and
-    Z : G v.  residual(t) = E(t) + dissipated(t) - E(0) - work_of_forcing(t)
-    is then first order in dt.
+    Kinetic energy is 1/2 h^d sum_nodes |v|^2, the nodal mass of
+    semi_implicit_step; elastic energy and dissipation rate are h^d sums
+    over cells of W(G xi) and Z : G v.  residual(t) = E(t) + dissipated(t)
+    - E(0) is then first order in dt.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
@@ -57,30 +57,18 @@ def energy_report(traj, model, grid, forcing=None):
     kin = np.empty(len(times))
     ela = np.empty(len(times))
     diss_rate = np.empty(len(times))
-    work_rate = np.empty(len(times))
     for idx, st in enumerate(traj.states):
         f = gradient_field(grid, st.xi)
         q = gradient_field(grid, st.v)
         kin[idx] = 0.5 * hvol * float(np.sum(st.v * st.v))
         ela[idx] = hvol * float(np.sum(energy(model.energy, f)))
         diss_rate[idx] = hvol * float(np.sum(dissipation_density(model.viscosity, f, q)))
-        if forcing is None:
-            work_rate[idx] = 0.0
-        else:
-            fv = forcing(st.time, grid) * st.v
-            work_rate[idx] = hvol * float(np.sum(fv))
 
-    def cumtrap(rate):
-        out = np.zeros_like(rate)
-        if len(rate) > 1:
-            dt = np.diff(times)
-            out[1:] = np.cumsum(0.5 * dt * (rate[1:] + rate[:-1]))
-        return out
-
-    diss = cumtrap(diss_rate)
-    work = cumtrap(work_rate)
+    diss = np.zeros_like(diss_rate)
+    if len(times) > 1:
+        diss[1:] = np.cumsum(0.5 * np.diff(times) * (diss_rate[1:] + diss_rate[:-1]))
     total = kin + ela
-    residual = total + diss - total[0] - work
+    residual = total + diss - total[0]
     return EnergyReport(times, kin, ela, diss, residual)
 
 

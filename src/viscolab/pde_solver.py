@@ -15,8 +15,10 @@ built once per grid.  Time stepping is
 semi-implicit: the elastic stress is explicit, the viscous stress is
 linearized around the frozen tangent D_Q Z and refrozen in a short Picard
 loop inside each step.  The frozen tangent is symmetric positive
-semidefinite, so each step solves its shifted operator with conjugate
-gradients alone; a solve that does not converge ends the run as
+semidefinite, so every shifted operator alpha I + L is symmetric positive
+definite, and solve_shifted, the one linear solve of the time step and of
+the heat extension, assembles it as one CSR matrix and runs conjugate
+gradients; a solve that does not converge ends the run as
 'linear_solver_failure'.
 """
 
@@ -353,7 +355,8 @@ class ViscousOperator:
     The interior matrix is G_I^T blockdiag(M) G_I, the same composition of
     gradient_field, the cell-wise tangent and stress_divergence that apply
     performs matrix-free.  It is assembled as the sum over cells of
-    D^T M_c D, scattered into the grid's fixed CSR pattern.
+    D^T M_c D, scattered into the grid's fixed CSR pattern; a shift is
+    added at the diagonal slots after every block.
     """
 
     def __init__(self, grid, m_cells):
@@ -364,25 +367,24 @@ class ViscousOperator:
         if m_cells.shape != want:
             m_cells = np.broadcast_to(m_cells, want)
         self.m_cells = m_cells
-        self._matrix = None
 
     def apply(self, nodal):
         g = gradient_field(self.grid, nodal)
         return -stress_divergence(self.grid, _apply_tangent(self.grid, self.m_cells, g))
 
-    def interior_matrix(self):
-        if self._matrix is None:
-            pat = _operator_pattern(self.grid.dim, self.grid.cells)
-            k = self.grid.dim ** 2
-            m = self.m_cells.reshape(-1, k, k)
-            data = np.zeros(pat.indices.size)
-            for first, lo, hi, slots in pat.blocks:
-                local = pat.d.T @ (m[first:first + slots.shape[0]] @ pat.d)
-                data[lo:hi] += np.bincount(slots.reshape(-1), local.reshape(-1),
-                                           minlength=hi - lo + 1)[:-1]
-            self._matrix = sp.csr_matrix((data, pat.indices, pat.indptr),
-                                         shape=(pat.size, pat.size))
-        return self._matrix
+    def interior_matrix(self, shift=0.0):
+        """shift I + G_I^T blockdiag(M) G_I as a new CSR matrix."""
+        pat = _operator_pattern(self.grid.dim, self.grid.cells)
+        k = self.grid.dim ** 2
+        m = self.m_cells.reshape(-1, k, k)
+        data = np.zeros(pat.indices.size)
+        for first, lo, hi, slots in pat.blocks:
+            local = pat.d.T @ (m[first:first + slots.shape[0]] @ pat.d)
+            data[lo:hi] += np.bincount(slots.reshape(-1), local.reshape(-1),
+                                       minlength=hi - lo + 1)[:-1]
+        data[pat.diag] += shift
+        return sp.csr_matrix((data, pat.indices, pat.indptr),
+                             shape=(pat.size, pat.size))
 
 
 def identity_tangent(grid):
@@ -403,28 +405,20 @@ def _from_interior(grid, vec):
     return out.reshape(grid.node_shape + (grid.dim,))
 
 
-def _shifted(op, alpha):
-    """alpha I + the interior matrix of op: a new CSR on the same pattern."""
-    a = op.interior_matrix()
-    data = a.data.copy()
-    data[_operator_pattern(op.grid.dim, op.grid.cells).diag] += alpha
-    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-
-
 def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     """Solve (alpha I + L) v = rhs on the interior, zero on the boundary.
 
     Every catalogue tangent is the Hessian of a convex dissipation
     potential, so alpha I + L is symmetric positive definite for alpha > 0
-    and conjugate gradients solve it.  Raises LinearSolveFailure when CG
-    misses tol within its iteration cap; run records that as
-    'linear_solver_failure'.
+    and conjugate gradients on the one matrix op.interior_matrix(alpha)
+    solve it.  Raises LinearSolveFailure when CG misses tol within its
+    iteration cap; run records that as 'linear_solver_failure'.
     """
     grid = op.grid
     b = _interior_vec(grid, rhs_nodal)
     if not np.any(b):
         return np.zeros(grid.node_shape + (grid.dim,))
-    a = _shifted(op, alpha)
+    a = op.interior_matrix(alpha)
     x0 = None if x0_nodal is None else _interior_vec(grid, x0_nodal)
     maxiter = max(1000, 2 * b.size)
     x, info = spla.cg(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter)
@@ -462,10 +456,10 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         rhs_fixed = rhs_fixed + forcing(state.time + dt, grid)
 
     v_k = state.v
-    m_k = viscous_tangent_field(model.viscosity, f_cells, gradient_field(grid, v_k))
+    grad_vk = gradient_field(grid, v_k)
+    m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
     first_inc = None
     for it in range(cfg.picard_max):
-        grad_vk = gradient_field(grid, v_k)
         corr = viscous_stress(model.viscosity, f_cells, grad_vk) \
             - _apply_tangent(grid, m_k, grad_vk)
         rhs = rhs_fixed + stress_divergence(grid, corr)
@@ -483,8 +477,8 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         if inc <= cfg.picard_tol or model.viscosity.linear_in_q:
             break
         if it + 1 < cfg.picard_max:
-            m_k = viscous_tangent_field(model.viscosity, f_cells,
-                                        gradient_field(grid, v_k))
+            grad_vk = gradient_field(grid, v_k)
+            m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
     return FieldState(state.time + dt, state.xi + dt * v_k, v_k)
 
 
@@ -523,8 +517,9 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
 
     xi1 diffuses under the clamped discrete Laplacian (implicit Euler); the
     deformation accumulates it trapezoidally, so the pair plays the role of
-    a reference trajectory whose velocity solves the heat equation.  t_end
-    must be a whole number of steps dt, as in SolverConfig.
+    a reference trajectory whose velocity solves the heat equation.  Each
+    step is one solve_shifted on the identity tangent at the default
+    linear_tol.  t_end must be a whole number of steps dt, as in SolverConfig.
     """
     n_steps = whole_steps(t_end, dt)
     if n_steps is None:
@@ -535,15 +530,12 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
     bmask = grid.boundary_mask()
     if np.max(np.abs(xi1[bmask])) > CLAMP_TOL:
         raise BoundaryMismatch("extension velocity must vanish on the boundary")
-    a = _shifted(ViscousOperator(grid, identity_tangent(grid)), 1.0 / dt)
-    try:
-        lu = spla.splu(a.tocsc())
-    except RuntimeError as exc:
-        raise LinearSolveFailure(str(exc)) from exc
+    op = ViscousOperator(grid, identity_tangent(grid))
     states = [FieldState(0.0, xi0.copy(), xi1.copy())]
     xibar, v = xi0.copy(), xi1.copy()
     for k in range(1, n_steps + 1):
-        v_new = _from_interior(grid, lu.solve(_interior_vec(grid, v) / dt))
+        v_new = solve_shifted(op, 1.0 / dt, v / dt, SolverConfig.linear_tol,
+                              x0_nodal=v)
         xibar = xibar + 0.5 * dt * (v + v_new)
         v = v_new
         if k % save_every == 0 or k == n_steps:

@@ -107,6 +107,17 @@ def test_cmd_check_reflected_preset_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["f0", "q0"])
+def test_korn_non_finite_tensor_exits_2(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = korn\ndim = 2\n{key} = nan,0,0,1\n")
+    assert main(["korn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    cfg.write_text(f"command = korn\ndim = 2\n{key} = 1,inf,0,1\n")
+    with pytest.raises(RangeError) as info:
+        parse_config(cfg.read_text())
+    assert info.value.key == key
+
+
 def test_cmd_korn_z0doubleprime(tmp_path):
     spec = spec_from(tmp_path, "command = korn\ndim = 2\n")
     assert cmd_korn(spec) == 0
@@ -182,6 +193,15 @@ def test_validate_vtk_rejects_truncated_files(tmp_path):
     bad.write_text(text + "\nVECTORS junk double\nnot numbers at all\n")
     with pytest.raises(ValueError, match=rf"^line {count + 2}: "):
         validate_vtk(bad)
+    # point and vector rows must be three finite numbers
+    rows = text.splitlines(keepends=True)
+    for row, what, junk in ((6, "point", "not a number\n"),
+                            (30, "point", "nan inf -inf\n"),
+                            (33, "vector", "0 zero 0\n"),
+                            (60, "vector", "0 0 inf\n")):
+        bad.write_text(''.join(rows[:row] + [junk] + rows[row + 1:]))
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: bad {what} row"):
+            validate_vtk(bad)
     # trailing blank lines alone stay valid
     bad.write_text(text + "\n\n  \n")
     assert validate_vtk(bad) == 25

@@ -89,17 +89,6 @@ def test_min_det_closed_form():
         assert d == pytest.approx((1.0 - eps * t) ** 2, abs=1e-12)
 
 
-def test_forcing_work_balances_manufactured():
-    # constant-in-time forcing on a rest state does no work (v = 0)
-    grid = build_grid(1, 16)
-    state = init_state(grid, lambda x: np.array(x, copy=True),
-                       lambda x: np.zeros_like(x), 1e-3)
-    traj = run(MODEL, grid, SolverConfig(dt=1e-2, t_end=0.05), state)
-    rep = energy_report(traj, MODEL, grid,
-                        forcing=lambda t, g: np.zeros(g.node_shape + (1,)))
-    assert np.max(np.abs(rep.balance_residual)) <= 1e-14
-
-
 def test_theta_zero_for_rest(decay):
     grid = build_grid(1, 16)
     state = init_state(grid, lambda x: np.array(x, copy=True),

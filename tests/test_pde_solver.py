@@ -321,6 +321,23 @@ def test_interior_matrix_row_order(dim, cells):
         assert np.all(np.diff(cols[1:]) < 0)
 
 
+@pytest.mark.parametrize("dim,cells", [(1, 6), (2, 6), (3, 4)])
+def test_interior_matrix_shift_adds_at_diagonal(dim, cells):
+    # the shift is added after every block, so the rest of the matrix is
+    # bit for bit the unshifted one
+    g = build_grid(dim, cells)
+    k = dim * dim
+    m = np.random.default_rng(50).standard_normal(g.cell_shape + (k, k))
+    op = ViscousOperator(g, m)
+    plain, shifted = op.interior_matrix(), op.interior_matrix(37.5)
+    diag = _operator_pattern(dim, cells).diag
+    expected = plain.data.copy()
+    expected[diag] += 37.5
+    assert np.array_equal(shifted.indptr, plain.indptr)
+    assert np.array_equal(shifted.indices, plain.indices)
+    assert np.array_equal(shifted.data, expected)
+
+
 def test_cached_grid_arrays_read_only():
     g, g_i, g_it, dofs = clamped_gradient(2, 6)
     pat = _operator_pattern(2, 6)
@@ -345,6 +362,30 @@ def test_solve_shifted_leaves_operator_unchanged():
     assert np.array_equal(op.interior_matrix().data, before)
     assert np.array_equal(second,
                           solve_shifted(ViscousOperator(g, m), 7.0, rhs, 1e-10))
+
+
+def test_solve_shifted_builds_one_csr(monkeypatch):
+    # the shift goes into the one assembled matrix; no second CSR is built
+    import viscolab.pde_solver as mod
+    built = []
+
+    class CountingSparse:
+        def __getattr__(self, name):
+            return getattr(sp, name)
+
+        @staticmethod
+        def csr_matrix(*args, **kwargs):
+            built.append(args)
+            return sp.csr_matrix(*args, **kwargs)
+
+    g = build_grid(2, 8)
+    rhs = clamped_noise(g, np.random.default_rng(51))
+    expected = solve_shifted(ViscousOperator(g, identity_tangent(g)), 5.0,
+                             rhs, 1e-10)
+    monkeypatch.setattr(mod, 'sp', CountingSparse())
+    op = ViscousOperator(g, identity_tangent(g))
+    assert np.array_equal(solve_shifted(op, 5.0, rhs, 1e-10), expected)
+    assert len(built) == 1
 
 
 def test_solve_shifted_zero_rhs_fast_path():
@@ -461,6 +502,9 @@ def test_solve_shifted_raises_when_cg_fails(monkeypatch):
     rhs = clamped_noise(g, np.random.default_rng(47))
     with pytest.raises(LinearSolveFailure):
         solve_shifted(op, 100.0, rhs, 1e-10)
+    x = g.node_positions()
+    with pytest.raises(LinearSolveFailure):
+        heat_extension(g, np.array(x, copy=True), rhs, 1e-2, 0.1)
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
     traj = run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1), st)
@@ -499,6 +543,30 @@ def test_heat_extension_eigenmode_decay():
     bmask = g.boundary_mask()
     for st in ext.states:
         assert np.array_equal(st.xi[bmask], x[bmask])
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
+def test_heat_extension_matches_dense_implicit_euler(dim, cells):
+    # oracle: a direct solve of (I/dt + L) v_new = v/dt on the interior dofs,
+    # trapezoidal deformation
+    g = build_grid(dim, cells)
+    dt, t_end = 1e-2, 0.1
+    x = g.node_positions()
+    v0 = np.sin(np.pi * x) * np.prod(np.sin(np.pi * x), axis=-1, keepdims=True)
+    v0[g.boundary_mask()] = 0.0
+    ext = heat_extension(g, np.array(x, copy=True), v0, dt, t_end)
+    lap = ViscousOperator(g, identity_tangent(g)).interior_matrix().toarray()
+    a = np.eye(lap.shape[0]) / dt + lap
+    dofs = clamped_gradient(dim, cells)[3]
+    v, xi = v0.reshape(-1), np.array(x, copy=True).reshape(-1)
+    for st in ext.states[1:]:
+        v_new = np.zeros_like(v)
+        v_new[dofs] = np.linalg.solve(a, v[dofs] / dt)
+        xi = xi + 0.5 * dt * (v + v_new)
+        v = v_new
+        assert np.linalg.norm(st.v.reshape(-1) - v) <= 1e-9 * np.linalg.norm(v)
+        assert np.max(np.abs(st.xi.reshape(-1) - xi)) <= 1e-12
+    assert len(ext.states) == 11
 
 
 def test_heat_extension_requires_clamped_velocity():
