@@ -17,7 +17,7 @@ from .pde_solver import (ExactSolution, FieldState, Grid, SolverConfig,
                          heat_extension, init_state, manufactured_default,
                          manufactured_run, run, semi_implicit_step,
                          stress_divergence)
-from .tensor_core import FourthOrderTensor, frob, random_rotation, skew, sym
+from .tensor_core import frob, random_rotation, skew, sym
 from .wellposedness import (RankOneResult, SpectrumReport, UniformGammaReport,
                             acoustic_spectrum, check_initial_data,
                             closed_form_gamma, fourier_korn_sample,

@@ -298,9 +298,9 @@ def validate_vtk(path):
 
     Returns the point count; raises ValueError on any malformed or missing
     section, naming the line where the file ends early, a line has the
-    wrong number of fields, a point or vector row is not three finite
-    numbers, or anything but blank lines follows the first blank line after
-    the data arrays.
+    wrong number of fields, a count is not a nonnegative integer, a point
+    or vector row is not three finite numbers, or anything but blank lines
+    follows the first blank line after the data arrays.
     """
     with open(path, encoding='utf-8') as fh:
         lines = [ln.rstrip('\n') for ln in fh]
@@ -325,6 +325,16 @@ def validate_vtk(path):
         if not ok:
             raise ValueError(f"line {cursor + 1}: bad {what}")
 
+    def counts(cursor, row, what):
+        try:
+            out = [int(x) for x in row]
+            ok = min(out) >= 0
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"line {cursor + 1}: bad {what}")
+        return out
+
     if line(0, "header line") != "# vtk DataFile Version 3.0":
         raise ValueError("line 1: bad header line")
     if line(2, "format line") != "ASCII" \
@@ -333,11 +343,11 @@ def validate_vtk(path):
     dims = tokens(4, 4, "DIMENSIONS line")
     if dims[0] != "DIMENSIONS":
         raise ValueError("line 5: bad DIMENSIONS line")
-    nx, ny, nz = (int(x) for x in dims[1:])
+    nx, ny, nz = counts(4, dims[1:], "DIMENSIONS line")
     pts = tokens(5, 3, "POINTS line")
     if pts[0] != "POINTS" or pts[2] != "double":
         raise ValueError("line 6: bad POINTS line")
-    npts = int(pts[1])
+    npts, = counts(5, pts[1:2], "POINTS line")
     if npts != nx * ny * nz:
         raise ValueError("line 6: point count does not match DIMENSIONS")
     cursor = 6
@@ -431,6 +441,8 @@ def cmd_korn(spec):
     q0 = np.array(spec.q0, dtype=float).reshape(n, n) if spec.q0 else np.zeros((n, n))
     viscosity = ViscosityModel(spec.viscosity, spec.viscosity_m)
     tangent = constitutive.viscous_tangent_q(viscosity, f0, q0)
+    if not np.all(np.isfinite(tangent)):
+        raise DomainError("the viscous tangent at (f0, q0) overflows")
     r1 = wellposedness.rank_one_min(tangent, spec.angular_resolution,
                                     spec.refine_iters)
     sector = wellposedness.sector_scan(tangent, spec.num_directions)

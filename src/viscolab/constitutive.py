@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularMatrix
-from .tensor_core import (EPS_SINGULAR, FourthOrderTensor, frob, rotation_sample,
-                          skew, sym)
+from .tensor_core import EPS_SINGULAR, frob, rotation_sample, skew, sym
 
 ENERGY_KINDS = ('w0', 'w1', 'w2')
 VISCOSITY_KINDS = ('zm', 'z0prime', 'z0doubleprime')
@@ -226,12 +225,16 @@ def viscous_tangent_field(model, f, q):
 
 
 def viscous_tangent_q(model, f0, q0):
-    """Tangent D_Q Z(F0, Q0) as a FourthOrderTensor."""
+    """Tangent D_Q Z(F0, Q0) at a single point as an (n^2, n^2) matrix.
+
+    The matrix is the one `viscous_tangent_field` builds, in its row-major
+    vectorization; it is the form every check in `wellposedness` takes.
+    """
     f0 = np.asarray(f0, dtype=float)
     if f0.ndim != 2:
         raise ValueError("viscous_tangent_q expects a single matrix; "
                          "use viscous_tangent_field for batches")
-    return FourthOrderTensor(f0.shape[-1], viscous_tangent_field(model, f0, q0))
+    return viscous_tangent_field(model, f0, q0)
 
 
 def random_deformations(dim, count, rng, spread=(0.5, 2.0)):

@@ -519,12 +519,10 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
     deformation accumulates it trapezoidally, so the pair plays the role of
     a reference trajectory whose velocity solves the heat equation.  Each
     step is one solve_shifted on the identity tangent at the default
-    linear_tol.  t_end must be a whole number of steps dt, as in SolverConfig.
+    linear_tol.  dt, t_end and save_every are checked as in SolverConfig.
     """
+    cfg = SolverConfig(dt, t_end, save_every=save_every)
     n_steps = whole_steps(t_end, dt)
-    if n_steps is None:
-        raise InvalidConfig(f"t_end = {t_end!r} is not a whole number "
-                            f"of steps dt = {dt!r}")
     xi0 = np.asarray(xi0, dtype=float)
     xi1 = np.asarray(xi1, dtype=float)
     bmask = grid.boundary_mask()
@@ -534,8 +532,7 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
     states = [FieldState(0.0, xi0.copy(), xi1.copy())]
     xibar, v = xi0.copy(), xi1.copy()
     for k in range(1, n_steps + 1):
-        v_new = solve_shifted(op, 1.0 / dt, v / dt, SolverConfig.linear_tol,
-                              x0_nodal=v)
+        v_new = solve_shifted(op, 1.0 / dt, v / dt, cfg.linear_tol, x0_nodal=v)
         xibar = xibar + 0.5 * dt * (v + v_new)
         v = v_new
         if k % save_every == 0 or k == n_steps:

@@ -2,11 +2,8 @@
 
 Matrices are plain numpy arrays of shape (n, n) with n in {1, 2, 3}.  Most
 routines broadcast over leading axes, so they operate on whole fields of
-matrices at once.  Fourth-order tensors (linear maps on n x n matrices) are
-stored as (n^2, n^2) matrices acting on row-major vectorized arguments.
+matrices at once.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,58 +75,3 @@ def rotation_sample(dim, rng, count=None):
 def random_rotation(dim, seed):
     """Deterministic random rotation in SO(dim) for a given seed."""
     return rotation_sample(dim, np.random.default_rng(seed))
-
-
-@dataclass(frozen=True)
-class FourthOrderTensor:
-    """Linear map on n x n matrices, stored as an (n^2, n^2) matrix.
-
-    Row-major vectorization: vec(Q)[i*n + j] = Q[i, j].
-    """
-
-    dim: int
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        nn = self.dim * self.dim
-        if m.shape != (nn, nn):
-            raise ValueError(f"expected shape {(nn, nn)}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("non-finite entries")
-        object.__setattr__(self, 'mat', m)
-
-    @classmethod
-    def from_map(cls, fn, dim):
-        """Build the matrix of a linear map by applying fn to basis matrices."""
-        nn = dim * dim
-        m = np.empty((nn, nn))
-        for col in range(nn):
-            e = np.zeros((dim, dim))
-            e.flat[col] = 1.0
-            m[:, col] = np.asarray(fn(e), dtype=float).reshape(nn)
-        return cls(dim, m)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, np.eye(dim * dim))
-
-    @classmethod
-    def sym_map(cls, dim):
-        """The map Q -> sym(Q)."""
-        return cls.from_map(sym, dim)
-
-    def apply(self, q):
-        """Apply the map to a single n x n matrix."""
-        q = np.asarray(q, dtype=float)
-        n = self.dim
-        return (self.mat @ q.reshape(n * n)).reshape(n, n)
-
-    def as_tensor4(self):
-        """Reshape to index form T[i, j, k, l] with rows (i, j), cols (k, l)."""
-        n = self.dim
-        return self.mat.reshape(n, n, n, n)
-
-    def is_symmetric(self, tol=1e-12):
-        scale = max(1.0, float(np.max(np.abs(self.mat))))
-        return bool(np.max(np.abs(self.mat - self.mat.T)) <= tol * scale)

@@ -7,6 +7,9 @@ the catalogue's closed-form constants, scans the acoustic-tensor spectrum
 for the parabolic sector, and samples the inequality directly on periodic
 trigonometric fields where the space integrals reduce to exact coefficient
 sums.
+
+M is the (n^2, n^2) matrix of `viscous_tangent_field` at one point, acting
+on row-major vectorized n x n matrices.
 """
 
 import itertools
@@ -59,6 +62,20 @@ class UniformGammaReport:
     @property
     def passed(self):
         return math.isfinite(self.gamma_sup)
+
+
+def _tensor4(m):
+    """Index form T[i, j, k, l] of a tangent matrix m, rows (i, j), cols (k, l).
+
+    Raises ValueError unless m is a finite (n^2, n^2) matrix with n >= 1.
+    """
+    m = np.asarray(m, dtype=float)
+    n = math.isqrt(m.shape[0]) if m.ndim == 2 else 0
+    if n == 0 or m.shape != (n * n, n * n):
+        raise ValueError(f"expected an (n^2, n^2) tangent, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries")
+    return m.reshape(n, n, n, n)
 
 
 def _ratios(t4, a, b):
@@ -182,10 +199,11 @@ def rank_one_min(m, angular_resolution=360, refine_iters=5):
     alternating eigen-polish.  gamma_est = 1/ratio_min when the ratio is
     positive, +inf otherwise.  In 1D the ratio is the single entry of M.
     """
-    ratio, a_star, b_star = _rank_one_batch(m.as_tensor4()[None],
-                                            angular_resolution, refine_iters)
-    return RankOneResult(float(ratio[0]), float(_gammas(ratio)[0]),
-                         a_star[0], b_star[0], angular_resolution ** (m.dim - 1))
+    t4 = _tensor4(m)
+    ratio, a_star, b_star = _rank_one_batch(t4[None], angular_resolution,
+                                            refine_iters)
+    return RankOneResult(float(ratio[0]), float(_gammas(ratio)[0]), a_star[0],
+                         b_star[0], angular_resolution ** (t4.shape[0] - 1))
 
 
 def closed_form_gamma(model, f0, q0):
@@ -226,14 +244,15 @@ def acoustic_spectrum(m, k):
     """Eigenvalues of the acoustic map a -> M(a x k) k for unit directions k.
 
     k has shape (..., n); the result has shape (..., n).  Raises ValueError
-    when any direction is not a unit vector.
+    when any direction is not a unit vector or m is not a finite (n^2, n^2)
+    matrix.
     """
     k = np.asarray(k, dtype=float)
     norms = np.linalg.norm(k, axis=-1)
     bad = np.abs(norms - 1.0) > 1e-12
     if np.any(bad):
         raise ValueError(f"|k| = {norms[bad][0]:.15f} is not 1")
-    mk = np.einsum('ijsl,...j,...l->...is', m.as_tensor4(), k, k)
+    mk = np.einsum('ijsl,...j,...l->...is', _tensor4(m), k, k)
     return np.linalg.eigvals(mk)
 
 
@@ -258,9 +277,10 @@ def sector_scan(m, num_directions):
     eigenvalues; the scan is elliptic when the spectrum stays strictly in
     the open right half plane away from the imaginary axis.
     """
-    if num_directions < m.dim + 1:
-        raise ValueError(f"need at least {m.dim + 1} directions")
-    dirs = _directions(m.dim, num_directions)
+    n = _tensor4(m).shape[0]
+    if num_directions < n + 1:
+        raise ValueError(f"need at least {n + 1} directions")
+    dirs = _directions(n, num_directions)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     eigs = acoustic_spectrum(m, dirs)
     return SpectrumReport(float(np.min(eigs.real)),
@@ -303,8 +323,8 @@ def fourier_korn_sample(m, num_fields, max_modes, seed):
     """
     if num_fields < 1 or max_modes < 1:
         raise ValueError("num_fields and max_modes must be at least 1")
-    t4 = m.as_tensor4()
-    n = m.dim
+    t4 = _tensor4(m)
+    n = t4.shape[0]
     modes = _half_space_modes(n, max_modes)
     rng = np.random.default_rng(seed)
     worst = np.inf

@@ -21,7 +21,7 @@ from viscolab.diagnostics import energy_report, min_det_series, theta_norm
 from viscolab.pde_solver import (SolverConfig, build_grid, heat_extension,
                                  init_state, manufactured_default,
                                  manufactured_run, run)
-from viscolab.tensor_core import FourthOrderTensor
+from viscolab.tensor_core import sym
 from viscolab.wellposedness import (acoustic_spectrum, closed_form_gamma,
                                     fourier_korn_sample, rank_one_min,
                                     sector_scan)
@@ -31,6 +31,11 @@ VISCOSITIES = [ViscosityModel.z0doubleprime(), ViscosityModel.z0prime(),
 ENERGIES = [EnergyModel.w0(), EnergyModel.w1(), EnergyModel.w2(),
             EnergyModel.w0(), EnergyModel.w1()]
 DECAY_MODEL = ConstitutiveModel(EnergyModel.w0(), ViscosityModel.z0doubleprime())
+
+
+def sym_map(n):
+    """Matrix of Q -> sym(Q) in the row-major vectorization; it is symmetric."""
+    return sym(np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 def seeded_rng(key):
@@ -78,14 +83,14 @@ def test_criterion_02_tangent_correctness():
             qs = rng.standard_normal((50, dim, dim))
             for f, q in zip(fs, qs):
                 t = viscous_tangent_q(visc, f, q)
-                fd = np.empty_like(t.mat)
+                fd = np.empty_like(t)
                 for col in range(dim * dim):
                     e = np.zeros((dim, dim))
                     e.flat[col] = 1.0
                     fd[:, col] = ((viscous_stress(visc, f, q + step * e)
                                    - viscous_stress(visc, f, q - step * e))
                                   / (2 * step)).reshape(-1)
-                rel = np.linalg.norm(fd - t.mat) / np.linalg.norm(t.mat)
+                rel = np.linalg.norm(fd - t) / np.linalg.norm(t)
                 assert rel <= 1e-6, (visc, dim, rel)
     # elastic stress of the smooth energy against its own finite differences
     rng = np.random.default_rng(7)
@@ -106,7 +111,7 @@ def test_criterion_02_tangent_correctness():
 
 
 def dense_scan(m, count=3600):
-    t4 = m.as_tensor4()
+    t4 = m.reshape(2, 2, 2, 2)
     ang = np.arange(count) * np.pi / count
     vecs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     best = np.inf
@@ -118,8 +123,8 @@ def dense_scan(m, count=3600):
 
 def test_criterion_03_korn_gamma_oracles(tmp_path):
     start = time.time()
-    sym2 = FourthOrderTensor.sym_map(2)
-    for m, expect in ((sym2, 2.0), (FourthOrderTensor(2, 2.0 * sym2.mat), 1.0)):
+    sym2 = sym_map(2)
+    for m, expect in ((sym2, 2.0), (2.0 * sym2, 1.0)):
         oracle_gamma = 1.0 / dense_scan(m)
         est = rank_one_min(m).gamma_est
         assert est == pytest.approx(oracle_gamma, rel=1e-2)
@@ -151,8 +156,7 @@ def test_criterion_03_korn_gamma_oracles(tmp_path):
 
 
 def test_criterion_04_ellipticity_sector():
-    eigs = sorted(acoustic_spectrum(FourthOrderTensor(
-        2, 2.0 * FourthOrderTensor.sym_map(2).mat), np.array([1.0, 0.0])).real)
+    eigs = sorted(acoustic_spectrum(2.0 * sym_map(2), np.array([1.0, 0.0])).real)
     assert eigs == pytest.approx([1.0, 2.0], abs=1e-10)
     for visc in VISCOSITIES:
         rng = seeded_rng(('sector', visc.kind, visc.m))
@@ -172,24 +176,24 @@ def test_criterion_04_ellipticity_sector():
 
 
 def test_criterion_05_fourier_korn():
-    sym2 = FourthOrderTensor.sym_map(2)
-    tested = [sym2, FourthOrderTensor(2, 2.0 * sym2.mat),
-              FourthOrderTensor.sym_map(3)]
+    sym2 = sym_map(2)
+    tested = [sym2, 2.0 * sym2, sym_map(3)]
     rng = np.random.default_rng(55)
     for visc in VISCOSITIES:
         f = random_deformations(2, 1, rng)[0]
         q = rng.standard_normal((2, 2))
         tested.append(viscous_tangent_q(visc, f, q))
     for idx, m in enumerate(tested):
-        r = rank_one_min(m, angular_resolution=360 if m.dim == 2 else 48)
+        dim = math.isqrt(len(m))
+        r = rank_one_min(m, angular_resolution=360 if dim == 2 else 48)
         if not math.isfinite(r.gamma_est):
             continue
-        res = 8 if m.dim == 2 else 4
+        res = 8 if dim == 2 else 4
         worst = fourier_korn_sample(m, num_fields=100, max_modes=res, seed=idx)
         assert worst >= r.ratio_min - 1e-9
     # single-mode fields reproduce the rank-one ratio exactly
     from viscolab.wellposedness import _field_ratio
-    t4 = sym2.as_tensor4()
+    t4 = sym2.reshape(2, 2, 2, 2)
     rng = np.random.default_rng(56)
     for _ in range(20):
         a = rng.standard_normal(2)

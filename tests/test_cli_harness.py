@@ -107,11 +107,22 @@ def test_cmd_check_reflected_preset_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("key", ["f0", "q0"])
-def test_korn_non_finite_tensor_exits_2(tmp_path, key):
+@pytest.mark.parametrize("key, entries", [
+    ("f0", "nan,0,0,1"), ("q0", "nan,0,0,1"),
+    # finite entries whose z0doubleprime tangent 2 F sym(F^T Q) overflows
+    ("f0", "1e200,0,0,1e200"),
+], ids=["f0", "q0", "f0-overflow"])
+def test_korn_non_finite_tensor_exits_2(tmp_path, capsys, key, entries):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = korn\ndim = 2\n{key} = nan,0,0,1\n")
-    assert main(["korn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    cfg.write_text(f"command = korn\ndim = 2\n{key} = {entries}\n")
+    argv = ["korn", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if "nan" in entries:
+        assert main(argv) == 2
+    else:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("viscolab: ") and err.count("\n") == 1
     cfg.write_text(f"command = korn\ndim = 2\n{key} = 1,inf,0,1\n")
     with pytest.raises(RangeError) as info:
         parse_config(cfg.read_text())
@@ -141,11 +152,10 @@ def test_cmd_korn_flags_m0_constant(tmp_path):
 
 
 def test_cmd_korn_negative_fixture(tmp_path, monkeypatch):
-    from viscolab.tensor_core import FourthOrderTensor
     import viscolab.cli_harness as cli
 
     monkeypatch.setattr(cli.constitutive, 'viscous_tangent_q',
-                        lambda *a, **k: FourthOrderTensor(2, -np.eye(4)))
+                        lambda *a, **k: -np.eye(4))
     spec = spec_from(tmp_path, "command = korn\ndim = 2\n")
     assert cmd_korn(spec) == 1
     rep = read_report(tmp_path / "out" / "report.txt")
@@ -180,7 +190,9 @@ def test_validate_vtk_rejects_truncated_files(tmp_path):
         with pytest.raises(ValueError, match=r"^line \d+: file ends"):
             validate_vtk(bad)
     for row, short in ((5, "POINTS 9\n"), (4, "DIMENSIONS 9 1\n"),
-                       (16, "VECTORS xi\n"), (18, "1 0\n")):
+                       (16, "VECTORS xi\n"), (18, "1 0\n"),
+                       (4, "DIMENSIONS a 1 1\n"), (5, "POINTS x double\n"),
+                       (4, "DIMENSIONS -9 -1 1\n")):
         bad.write_text(''.join(lines[:row] + [short] + lines[row + 1:]))
         with pytest.raises(ValueError, match=rf"^line {row + 1}: bad"):
             validate_vtk(bad)

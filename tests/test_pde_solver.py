@@ -14,7 +14,7 @@ from viscolab.pde_solver import (ExactSolution, SolverConfig,
                                  semi_implicit_step, solve_shifted,
                                  stress_divergence, _interior_vec,
                                  _operator_pattern)
-from viscolab.tensor_core import FourthOrderTensor
+from viscolab.tensor_core import sym
 from viscolab.wellposedness import rank_one_min
 
 W0_Z0DP = ConstitutiveModel(EnergyModel.w0(), ViscosityModel.z0doubleprime())
@@ -188,10 +188,11 @@ def test_operator_coercivity_on_smooth_fields():
     # discrete counterpart of the Korn-type bound; the documented tolerance
     # is c*h with c = 2 on smooth low-mode fields
     g = build_grid(2, 32)
-    m2 = FourthOrderTensor.sym_map(2)
+    # the map Q -> sym(Q), whose matrix is symmetric
+    m2 = sym(np.eye(4).reshape(4, 2, 2)).reshape(4, 4)
     ratio_min = rank_one_min(m2).ratio_min
     op = ViscousOperator(
-        g, np.broadcast_to(m2.mat, g.cell_shape + (4, 4)))
+        g, np.broadcast_to(m2, g.cell_shape + (4, 4)))
     x = g.node_positions()
     rng = np.random.default_rng(44)
     hvol = g.spacing ** 2
@@ -581,6 +582,12 @@ def test_heat_extension_rejects_partial_last_step():
     x = g.node_positions()
     with pytest.raises(InvalidConfig):
         heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.003, 0.01)
+    # dt and save_every are checked as in SolverConfig, not divided by
+    with pytest.raises(InvalidConfig, match="positive"):
+        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.0, 0.01)
+    with pytest.raises(InvalidConfig, match="save_every"):
+        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.002, 0.01,
+                       save_every=0)
     ext = heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.002, 0.01)
     assert ext.states[-1].time == pytest.approx(0.01)
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from viscolab.tensor_core import (FourthOrderTensor, frob, random_rotation,
-                                  skew, sym)
+from viscolab.tensor_core import frob, random_rotation, skew, sym
 
 
 def test_sym_examples():
@@ -56,26 +55,3 @@ def test_random_rotation_preserves_norm():
         r = random_rotation(3, seed=i)
         v = rng.standard_normal(3)
         assert np.linalg.norm(r @ v) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-
-
-def test_fourth_order_tensor_apply():
-    m = FourthOrderTensor.sym_map(2)
-    q = np.array([[0.0, 2.0], [0.0, 0.0]])
-    assert np.allclose(m.apply(q), sym(q))
-    assert m.is_symmetric()
-    ident = FourthOrderTensor.identity(3)
-    assert np.allclose(ident.apply(q := np.arange(9.0).reshape(3, 3)), q)
-
-
-def test_fourth_order_tensor_linearity():
-    rng = np.random.default_rng(5)
-    m = FourthOrderTensor(2, rng.standard_normal((4, 4)))
-    q1, q2 = rng.standard_normal((2, 2, 2))
-    lhs = m.apply(1.5 * q1 - 2.0 * q2)
-    rhs = 1.5 * m.apply(q1) - 2.0 * m.apply(q2)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_fourth_order_tensor_shape_check():
-    with pytest.raises(ValueError):
-        FourthOrderTensor(2, np.eye(3))

@@ -5,19 +5,20 @@ import pytest
 
 from viscolab.constitutive import ViscosityModel, random_deformations, viscous_tangent_q
 from viscolab.errors import DegenerateQ, DomainError, SingularMatrix, Unsupported
-from viscolab.tensor_core import FourthOrderTensor
+from viscolab.tensor_core import sym
 from viscolab.wellposedness import (acoustic_spectrum, check_initial_data,
                                     closed_form_gamma, fourier_korn_sample,
                                     rank_one_min, sector_scan)
 from viscolab.wellposedness import _field_ratio, _gammas, _rank_one_batch
 
-SYM2 = FourthOrderTensor.sym_map(2)
-TWO_SYM2 = FourthOrderTensor(2, 2.0 * SYM2.mat)
+# the map Q -> sym(Q) in the row-major vectorization; its matrix is symmetric
+SYM2 = sym(np.eye(4).reshape(4, 2, 2)).reshape(4, 4)
+TWO_SYM2 = 2.0 * SYM2
 
 
 def dense_scan_oracle(m, count=3600):
     """Independent brute-force minimum of the rank-one ratio (2D)."""
-    t4 = m.as_tensor4()
+    t4 = m.reshape(2, 2, 2, 2)
     ang = np.arange(count) * np.pi / count
     vecs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     best = np.inf
@@ -29,7 +30,7 @@ def dense_scan_oracle(m, count=3600):
 
 
 def test_rank_one_identity_map():
-    r = rank_one_min(FourthOrderTensor.identity(2))
+    r = rank_one_min(np.eye(4))
     assert r.ratio_min == pytest.approx(1.0, abs=1e-12)
     assert r.gamma_est == pytest.approx(1.0, abs=1e-12)
 
@@ -56,19 +57,19 @@ def test_rank_one_result_invariants():
     assert np.linalg.norm(r.a_star) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(r.b_star) == pytest.approx(1.0, abs=1e-12)
     evaluated = float(np.einsum('i,j,ijkl,k,l->', r.a_star, r.b_star,
-                                m.as_tensor4(), r.a_star, r.b_star))
+                                m.reshape(2, 2, 2, 2), r.a_star, r.b_star))
     assert r.ratio_min == pytest.approx(evaluated, abs=1e-12)
 
 
 def test_rank_one_scaling_covariance():
     for c in (0.5, 3.0):
-        r = rank_one_min(FourthOrderTensor(2, c * SYM2.mat))
+        r = rank_one_min(c * SYM2)
         assert r.ratio_min == pytest.approx(0.5 * c, rel=1e-10)
         assert r.gamma_est == pytest.approx(2.0 / c, rel=1e-10)
 
 
 def test_one_dimensional_degeneracy():
-    m = FourthOrderTensor(1, np.array([[1.75]]))
+    m = np.array([[1.75]])
     r = rank_one_min(m)
     assert r.ratio_min == 1.75
     scan = sector_scan(m, 2)
@@ -77,9 +78,23 @@ def test_one_dimensional_degeneracy():
 
 
 def test_rank_one_nonpositive_map():
-    r = rank_one_min(FourthOrderTensor(2, -np.eye(4)))
+    r = rank_one_min(-np.eye(4))
     assert r.ratio_min < 0.0
     assert math.isinf(r.gamma_est)
+
+
+@pytest.mark.parametrize("bad", [np.eye(3), np.where(np.eye(4) > 0, np.nan, 0.0)],
+                         ids=["shape", "nan"])
+@pytest.mark.parametrize("check", [
+    rank_one_min,
+    lambda m: acoustic_spectrum(m, np.array([1.0, 0.0])),
+    lambda m: sector_scan(m, 16),
+    lambda m: fourier_korn_sample(m, 4, 2, seed=0),
+], ids=["rank_one_min", "acoustic_spectrum", "sector_scan", "fourier_korn_sample"])
+def test_tangent_shape_check(check, bad):
+    # every check takes a finite (n^2, n^2) matrix and rejects anything else
+    with pytest.raises(ValueError, match="expected an|non-finite"):
+        check(bad)
 
 
 def test_closed_form_gamma_catalogue():
@@ -111,8 +126,7 @@ def test_closed_form_gamma_errors():
 def test_acoustic_spectrum_examples():
     eigs = sorted(acoustic_spectrum(TWO_SYM2, np.array([1.0, 0.0])).real)
     assert eigs == pytest.approx([1.0, 2.0], abs=1e-12)
-    eigs = acoustic_spectrum(FourthOrderTensor.identity(2),
-                             np.array([0.6, 0.8]))
+    eigs = acoustic_spectrum(np.eye(4), np.array([0.6, 0.8]))
     assert sorted(eigs.real) == pytest.approx([1.0, 1.0], abs=1e-12)
     with pytest.raises(ValueError):
         acoustic_spectrum(SYM2, np.array([1.0, 1.0]))
@@ -152,15 +166,15 @@ def test_sector_scan_examples():
     assert rep.max_abs_arg == pytest.approx(0.0, abs=1e-12)
     assert rep.elliptic
     assert rep.directions_scanned == 360
-    assert sector_scan(FourthOrderTensor.identity(2), 16).elliptic
-    neg = sector_scan(FourthOrderTensor(2, -np.eye(4)), 360)
+    assert sector_scan(np.eye(4), 16).elliptic
+    neg = sector_scan(-np.eye(4), 360)
     assert not neg.elliptic
     with pytest.raises(ValueError):
         sector_scan(SYM2, 2)
 
 
 def test_fourier_korn_identity():
-    assert fourier_korn_sample(FourthOrderTensor.identity(2), 20, 4, seed=1) == \
+    assert fourier_korn_sample(np.eye(4), 20, 4, seed=1) == \
         pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,7 +185,7 @@ def test_fourier_korn_sym_bounds():
 
 def test_fourier_single_mode_matches_rank_one():
     rng = np.random.default_rng(33)
-    t4 = SYM2.as_tensor4()
+    t4 = SYM2.reshape(2, 2, 2, 2)
     for _ in range(10):
         a = rng.standard_normal(2)
         k = np.array([2.0, -1.0])
@@ -244,7 +258,7 @@ def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
                                     resolution).gamma_est
                        for f, q in zip(f0, q0)])
     assert math.isinf(single[3]) == rest
-    mats = np.stack([viscous_tangent_q(model, f, q).as_tensor4()
+    mats = np.stack([viscous_tangent_q(model, f, q).reshape((dim,) * 4)
                      for f, q in zip(f0, q0)])
     batch = _gammas(_rank_one_batch(mats, resolution, 5)[0])
     assert np.array_equal(batch, single)
