@@ -5,7 +5,7 @@ Config grammar: one ``key = value`` assignment per line, ``#`` starts a
 comment, blank lines are ignored, keys may appear once, unknown keys are
 rejected.  Commands::
 
-    viscolab check       --config run.cfg   # node-wise gamma certification
+    viscolab check       --config run.cfg   # cell-wise gamma certification
     viscolab korn        --config run.cfg   # pointwise coercivity report
     viscolab simulate    --config run.cfg   # time integration + diagnostics
     viscolab convergence --config run.cfg   # manufactured-solution rates
@@ -398,7 +398,7 @@ def _closed_form(viscosity, f0, q0):
 
 
 def cmd_check(spec):
-    """Node-wise gamma certification of the preset's initial data."""
+    """Cell-wise gamma certification of the preset's initial data."""
     _prepare_outdir(spec)
     grid = pde_solver.build_grid(spec.dim, spec.cells)
     state = _initial_state(spec, grid)

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constitutive import piola_stress, viscous_stress, viscous_tangent_field
+from .constitutive import (dissipation_density, piola_stress, viscous_stress,
+                           viscous_tangent_field)
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                      LinearSolveFailure, PicardDivergence)
 
@@ -95,11 +96,13 @@ def build_grid(dim, cells):
 
 @dataclass(frozen=True)
 class FieldState:
-    """Nodal deformation and velocity at one instant."""
+    """Nodal deformation and velocity at one instant, and the energy the
+    scheme has dissipated since init_state (None where no ledger is kept)."""
 
     time: float
     xi: np.ndarray
     v: np.ndarray
+    dissipated: float | None = None
 
 
 def whole_steps(t_end, dt):
@@ -124,12 +127,11 @@ class SolverConfig:
     save_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise InvalidConfig("dt and t_end must be positive")
+        for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
+            if not getattr(self, key) > 0.0:
+                raise InvalidConfig(f"{key} must be positive")
         if self.picard_max < 1:
             raise InvalidConfig("picard_max must be at least 1")
-        if self.det_floor <= 0.0:
-            raise InvalidConfig("det_floor must be positive")
         if self.save_every < 1:
             raise InvalidConfig("save_every must be at least 1")
         if whole_steps(self.t_end, self.dt) is None:
@@ -183,7 +185,7 @@ def init_state(grid, xi0, xi1, det_floor):
     if np.min(dets) <= det_floor:
         raise Interpenetration(
             f"min cell det = {np.min(dets):.3e} <= floor {det_floor:.3e}")
-    return FieldState(0.0, xi, v)
+    return FieldState(0.0, xi, v, 0.0)
 
 
 def _kron_all(factors):
@@ -369,11 +371,15 @@ class ViscousOperator:
         self.m_cells = m_cells
 
     def apply(self, nodal):
+        """Matrix-free -div(M grad w): the oracle tests compare assembly against."""
         g = gradient_field(self.grid, nodal)
         return -stress_divergence(self.grid, _apply_tangent(self.grid, self.m_cells, g))
 
     def interior_matrix(self, shift=0.0):
-        """shift I + G_I^T blockdiag(M) G_I as a new CSR matrix."""
+        """shift I + G_I^T blockdiag(M) G_I as a new CSR matrix.  Its indices
+        are the grid's cached pattern, read-only and unsorted (diagonal
+        first): call .copy() before sort_indices() or any other in-place
+        reordering."""
         pat = _operator_pattern(self.grid.dim, self.grid.cells)
         k = self.grid.dim ** 2
         m = self.m_cells.reshape(-1, k, k)
@@ -446,7 +452,9 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     increment drops below picard_tol or picard_max solves were spent.  For
     viscosities linear in the velocity gradient the first iterate is already
     the fixed point, so the loop stops after one solve.  Then xi advances by
-    dt * v_new.
+    dt * v_new.  An unforced step adds dt h^d sum_cells Z(F, G v_new):G v_new
+    and the numerical dissipation 1/2 h^d sum_nodes |v_new - v^n|^2 to the
+    dissipation ledger; a forced step keeps none.
     """
     dt = cfg.dt
     f_cells = gradient_field(grid, state.xi)
@@ -479,7 +487,13 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         if it + 1 < cfg.picard_max:
             grad_vk = gradient_field(grid, v_k)
             m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
-    return FieldState(state.time + dt, state.xi + dt * v_k, v_k)
+    dissipated = None
+    if forcing is None and state.dissipated is not None:
+        dv = v_k - state.v
+        rate = dissipation_density(model.viscosity, f_cells, gradient_field(grid, v_k))
+        dissipated = state.dissipated + grid.spacing ** grid.dim * (
+            dt * float(np.sum(rate)) + 0.5 * float(np.sum(dv * dv)))
+    return FieldState(state.time + dt, state.xi + dt * v_k, v_k, dissipated)
 
 
 def run(model, grid, cfg, state0, forcing=None):

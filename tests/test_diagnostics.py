@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from viscolab.cli_harness import RunSpec, preset_functions
 from viscolab.constitutive import ConstitutiveModel, EnergyModel, ViscosityModel
 from viscolab.diagnostics import (energy_report, min_det_series, theta_norm,
                                   _second_space_diff_norm_p)
 from viscolab.errors import MismatchedSampling
 from viscolab.pde_solver import (FieldState, SolverConfig, Termination,
                                  Trajectory, build_grid, heat_extension,
-                                 init_state, run)
+                                 init_state, manufactured_default,
+                                 manufactured_run, run)
 
 MODEL = ConstitutiveModel(EnergyModel.w0(), ViscosityModel.z0doubleprime())
 
@@ -74,6 +76,38 @@ def test_balance_residual_first_order_on_coarse_grid(dim):
         e0 = rep.kinetic[0] + rep.elastic[0]
         rel.append(abs(rep.balance_residual[-1]) / e0)
     assert rel[0] / rel[1] >= 3.5
+
+
+def test_ledger_does_not_depend_on_save_every():
+    # 2D w1 + zm(1) under compression: the step's ledger balances the energy
+    # to the elastic stress's O(dt) error however sparse the snapshots are
+    grid = build_grid(2, 16)
+    model = ConstitutiveModel(EnergyModel('w1', 2.0), ViscosityModel('zm', 1))
+    xi0, xi1 = preset_functions(RunSpec('simulate', dim=2, cells=16,
+                                        preset='compression', rate=10.0))
+    final = []
+    for save_every in (1, 20):
+        cfg = SolverConfig(dt=1e-3, t_end=0.02, save_every=save_every)
+        traj = run(model, grid, cfg, init_state(grid, xi0, xi1, 1e-3))
+        assert traj.termination.kind == 'completed'
+        rep = energy_report(traj, model, grid)
+        e0 = rep.kinetic[0] + rep.elastic[0]
+        assert np.max(np.abs(rep.balance_residual)) <= 1e-3 * e0
+        final.append(rep.dissipated_cumulative[-1])
+    assert final[0] == final[1]
+
+
+def test_report_refuses_trajectories_without_ledger():
+    grid = build_grid(1, 16)
+    forced = manufactured_run(MODEL, grid, SolverConfig(dt=1e-3, t_end=1e-2),
+                              manufactured_default(1)).trajectory
+    assert all(st.dissipated is None for st in forced.states[1:])
+    with pytest.raises(ValueError, match="ledger"):
+        energy_report(forced, MODEL, grid)
+    x = grid.node_positions()
+    with pytest.raises(ValueError, match="ledger"):
+        energy_report(heat_extension(grid, x, np.zeros_like(x), 1e-2, 0.1),
+                      MODEL, grid)
 
 
 def test_min_det_closed_form():

@@ -339,6 +339,20 @@ def test_interior_matrix_shift_adds_at_diagonal(dim, cells):
     assert np.array_equal(shifted.data, expected)
 
 
+def test_interior_matrix_pattern_is_shared_read_only_and_unsorted():
+    # every assembly reuses the grid's pattern; reordering needs a copy
+    g = build_grid(2, 6)
+    op = ViscousOperator(g, identity_tangent(g))
+    a, b = op.interior_matrix(2.0), op.interior_matrix()
+    assert not a.indices.flags.writeable
+    assert np.shares_memory(a.indices, b.indices)
+    assert not a.has_sorted_indices
+    c = a.copy()
+    c.sort_indices()
+    assert c.has_sorted_indices
+    assert np.array_equal(c.toarray(), a.toarray())
+
+
 def test_cached_grid_arrays_read_only():
     g, g_i, g_it, dofs = clamped_gradient(2, 6)
     pat = _operator_pattern(2, 6)
@@ -436,6 +450,15 @@ def test_solver_config_rejects_partial_last_step():
     g = build_grid(1, 8)
     traj = run(W0_Z0DP, g, SolverConfig(dt=0.1, t_end=0.3), rest_state(g))
     assert len(traj.states) == 4
+
+
+@pytest.mark.parametrize("key", ["picard_tol", "linear_tol"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_solver_config_rejects_nonpositive_tolerances(key, value):
+    # linear_tol 0 would run CG to its cap; picard_tol < 0 would spend
+    # picard_max solves on every step
+    with pytest.raises(InvalidConfig, match=key):
+        SolverConfig(dt=1e-3, t_end=1e-2, **{key: value})
 
 
 def test_run_nonlinear_model_with_fd_stress():
