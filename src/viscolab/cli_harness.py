@@ -30,6 +30,8 @@ from .errors import (DegenerateQ, DomainError, InvalidConfig, ParseError,
 
 COMMANDS = ('check', 'korn', 'simulate', 'convergence')
 PRESETS = ('rest', 'sinusoidal', 'compression', 'reflected')
+# SolverConfig's keys and defaults (MISSING for dt and t_end, set in RunSpec)
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(pde_solver.SolverConfig)}
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,11 @@ class RunSpec:
     cells: int = 64
     dt: float = 1e-3
     t_end: float = 1.0
-    picard_tol: float = 1e-10
-    picard_max: int = 5
-    det_floor: float = 1e-3
-    linear_tol: float = 1e-10
-    save_every: int = 1
+    picard_tol: float = _SOLVER_DEFAULTS['picard_tol']
+    picard_max: int = _SOLVER_DEFAULTS['picard_max']
+    det_floor: float = _SOLVER_DEFAULTS['det_floor']
+    linear_tol: float = _SOLVER_DEFAULTS['linear_tol']
+    save_every: int = _SOLVER_DEFAULTS['save_every']
     preset: str = 'rest'
     amplitude: float = 0.1
     mode: int = 1
@@ -115,13 +117,9 @@ def _validate(values):
          f"must be one of {constitutive.VISCOSITY_KINDS}")
     need('viscosity_m', values['viscosity_m'] >= 0, "must be nonnegative")
     need('dim', values['dim'] in (1, 2), "must be 1 or 2")
-    need('cells', values['cells'] >= 4, "must be at least 4")
-    for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
-        need(key, values[key] > 0.0, "must be positive")
-    need('t_end', pde_solver.whole_steps(values['t_end'], values['dt']) is not None,
-         f"must be a whole number of steps dt = {values['dt']!r}")
-    need('picard_max', values['picard_max'] >= 1, "must be at least 1")
-    need('save_every', values['save_every'] >= 1, "must be at least 1")
+    # build_grid and SolverConfig raise RangeError for the keys they own
+    pde_solver.build_grid(values['dim'], values['cells'])
+    solver_config(values)
     need('preset', values['preset'] in PRESETS, f"must be one of {PRESETS}")
     need('mode', values['mode'] >= 1, "must be at least 1")
     need('rate', values['rate'] > 0.0, "must be positive")
@@ -201,11 +199,9 @@ def build_model(spec):
     return ConstitutiveModel(energy, viscosity)
 
 
-def solver_config(spec):
-    return pde_solver.SolverConfig(
-        dt=spec.dt, t_end=spec.t_end, picard_tol=spec.picard_tol,
-        picard_max=spec.picard_max, det_floor=spec.det_floor,
-        linear_tol=spec.linear_tol, save_every=spec.save_every)
+def solver_config(values):
+    """SolverConfig of the parsed values, or of vars() of a RunSpec."""
+    return pde_solver.SolverConfig(**{key: values[key] for key in _SOLVER_DEFAULTS})
 
 
 def preset_functions(spec):
@@ -485,7 +481,7 @@ def cmd_simulate(spec):
     grid = pde_solver.build_grid(spec.dim, spec.cells)
     state = _initial_state(spec, grid)
     model = build_model(spec)
-    traj = pde_solver.run(model, grid, solver_config(spec), state)
+    traj = pde_solver.run(model, grid, solver_config(vars(spec)), state)
     energy_rep = diagnostics.energy_report(traj, model, grid)
     mindet = diagnostics.min_det_series(traj, grid)
     write_diagnostics_csv(os.path.join(spec.out, 'diagnostics.csv'),
@@ -506,9 +502,10 @@ def cmd_simulate(spec):
 
 
 def _rate_table(errors):
-    rates = [math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0 else float('inf')
-             for i in range(len(errors) - 1)]
-    return rates
+    """log2 of successive error ratios; nan where either error is not
+    positive, so that no gate passes on a study without error."""
+    return [math.log2(coarse / fine) if coarse > 0 and fine > 0 else math.nan
+            for coarse, fine in zip(errors, errors[1:])]
 
 
 def cmd_convergence(spec):
@@ -527,7 +524,7 @@ def cmd_convergence(spec):
 
     def one(cells, dt, t_stop):
         grid = pde_solver.build_grid(dim, cells)
-        cfg = replace(solver_config(spec), dt=dt, t_end=t_stop,
+        cfg = replace(solver_config(vars(spec)), dt=dt, t_end=t_stop,
                       save_every=max(1, int(round(t_stop / dt)) // 4))
         res = pde_solver.manufactured_run(model, grid, cfg, exact)
         if res.trajectory.termination.kind != 'completed':

@@ -34,7 +34,7 @@ class Interpenetration(ViscolabError):
 
 
 class PicardDivergence(ViscolabError):
-    """Picard refreezing loop increments grew instead of contracting."""
+    """The refreezing (Newton) loop's increments grew instead of contracting."""
 
 
 class LinearSolveFailure(ViscolabError):
@@ -55,8 +55,8 @@ class ParseError(ViscolabError):
         super().__init__(message)
 
 
-class RangeError(ParseError):
-    """A configuration key parsed correctly but lies outside its range."""
+class RangeError(ParseError, InvalidConfig):
+    """A config key outside its range, from the parser, SolverConfig or build_grid."""
 
     def __init__(self, key, message):
         self.key = key

@@ -13,12 +13,16 @@ per-cell gradient D is read from G's rows, each cell contributes
 D^T M_c D, and a cached scatter adds those local entries into CSR slots
 built once per grid.  Time stepping is
 semi-implicit: the elastic stress is explicit, the viscous stress is
-linearized around the frozen tangent D_Q Z and refrozen in a short Picard
-loop inside each step.  The frozen tangent is symmetric positive
-semidefinite, so every shifted operator alpha I + L is symmetric positive
-definite, and solve_shifted, the one linear solve of the time step and of
-the heat extension, assembles it as one CSR matrix and runs conjugate
-gradients; a solve that does not converge ends the run as
+linearized around the frozen tangent D_Q Z and refrozen in a short loop
+inside each step.  That loop is Newton's method: with the tangent frozen
+at the current iterate, the shifted operator is the exact Jacobian of the
+step residual, so the increments of a converging step fall off
+quadratically (the picard_* keys, PicardDivergence and the
+'picard_divergence' termination keep their names).  The frozen tangent is
+symmetric positive semidefinite, so every shifted operator alpha I + L is
+symmetric positive definite, and solve_shifted, the one linear solve of the
+time step and of the heat extension, assembles it as one CSR matrix and
+runs conjugate gradients; a solve that does not converge ends the run as
 'linear_solver_failure'.
 """
 
@@ -34,7 +38,7 @@ import scipy.sparse.linalg as spla
 from .constitutive import (dissipation_density, piola_stress, viscous_stress,
                            viscous_tangent_field)
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
-                     LinearSolveFailure, PicardDivergence)
+                     LinearSolveFailure, PicardDivergence, RangeError)
 
 CLAMP_TOL = 1e-10
 STEP_TOL = 1e-9
@@ -88,9 +92,9 @@ class Grid:
 
 def build_grid(dim, cells):
     if dim not in (1, 2, 3):
-        raise InvalidConfig(f"dim must be 1, 2 or 3, got {dim}")
+        raise RangeError('dim', "must be 1, 2 or 3")
     if cells < 4:
-        raise InvalidConfig(f"cells must be at least 4, got {cells}")
+        raise RangeError('cells', "must be at least 4")
     return Grid(dim, cells)
 
 
@@ -106,18 +110,25 @@ class FieldState:
 
 
 def whole_steps(t_end, dt):
-    """The number of steps dt that make up t_end, or None if it is not whole.
+    """The number of steps dt that make up t_end, or None if it is not a
+    positive whole number (so also for an infinite t_end or dt).
 
     t_end / dt may miss an integer by STEP_TOL relative, to absorb the
     roundoff of decimal step sizes such as 0.1 / 1e-3.
     """
     ratio = t_end / dt
+    if not math.isfinite(ratio):
+        return None
     steps = round(ratio)
-    return steps if abs(ratio - steps) <= STEP_TOL * ratio else None
+    return steps if steps >= 1 and abs(ratio - steps) <= STEP_TOL * ratio else None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Time step, Newton-loop and CG controls and the determinant floor, and
+    the one owner of their defaults and ranges: RangeError names the first key
+    out of range (positivity, whole steps, picard_max, save_every)."""
+
     dt: float
     t_end: float
     picard_tol: float = 1e-10
@@ -129,14 +140,14 @@ class SolverConfig:
     def __post_init__(self):
         for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
             if not getattr(self, key) > 0.0:
-                raise InvalidConfig(f"{key} must be positive")
-        if self.picard_max < 1:
-            raise InvalidConfig("picard_max must be at least 1")
-        if self.save_every < 1:
-            raise InvalidConfig("save_every must be at least 1")
+                raise RangeError(key, "must be positive")
         if whole_steps(self.t_end, self.dt) is None:
-            raise InvalidConfig(f"t_end = {self.t_end!r} is not a whole number "
-                                f"of steps dt = {self.dt!r}")
+            raise RangeError('t_end',
+                             f"must be a whole number of steps dt = {self.dt!r}")
+        if self.picard_max < 1:
+            raise RangeError('picard_max', "must be at least 1")
+        if self.save_every < 1:
+            raise RangeError('save_every', "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -287,7 +298,8 @@ def _operator_pattern(dim, cells):
         inside &= (nbr >= 0) & (nbr < m)
     valid = np.repeat(np.repeat(inside, n, axis=1), n, axis=0)
     count = valid.sum(axis=1, dtype=np.int32)
-    indptr = np.concatenate(([0], np.cumsum(count, dtype=np.int32)))
+    indptr = np.zeros(count.size + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
     rows = np.arange(count.size, dtype=np.int32)
     centre = (offsets.shape[0] // 2) * n + rows % n
     # place in the row: in-domain entries after (o, s), i.e. descending
@@ -443,15 +455,19 @@ def _apply_tangent(grid, m_cells, cell_field):
 def semi_implicit_step(state, model, grid, cfg, forcing=None):
     """One step of the frozen-tangent scheme.
 
-    With F = grad xi^n and v^0 = v^n, the Picard loop k = 0, 1, ... solves
+    With F = grad xi^n and v^0 = v^n, the refreezing loop k = 0, 1, ... solves
 
         (v_new - v^n)/dt - div(M^k grad v_new)
             = div(DW(F)) + div(Z(F, grad v^k) - M^k grad v^k) + f,
 
     refreezing M^k = D_Q Z(F, grad v^k) between iterations, until the sup
-    increment drops below picard_tol or picard_max solves were spent.  For
+    increment drops below picard_tol or picard_max solves were spent.  This
+    is Newton's method on the step residual
+    (v - v^n)/dt - div(DW(F)) - div Z(F, grad v) - f, whose exact Jacobian
+    at v^k is I/dt - div(M^k grad), so a converging step's increments fall
+    off quadratically.  For
     viscosities linear in the velocity gradient the first iterate is already
-    the fixed point, so the loop stops after one solve.  Then xi advances by
+    the solution, so the loop stops after one solve.  Then xi advances by
     dt * v_new.  An unforced step adds dt h^d sum_cells Z(F, G v_new):G v_new
     and the numerical dissipation 1/2 h^d sum_nodes |v_new - v^n|^2 to the
     dissipation ledger; a forced step keeps none.

@@ -52,7 +52,11 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class UniformGammaReport:
-    """Node-wise gamma estimates over a field of frozen tangents."""
+    """Cell-wise gamma estimates over a field of frozen tangents.
+
+    worst_node is the index of the worst cell and nodes_checked the number
+    of cells; the names match the byte-stable report.txt keys.
+    """
 
     gamma_sup: float
     gamma_inf: float
@@ -338,14 +342,16 @@ def fourier_korn_sample(m, num_fields, max_modes, seed):
     return float(worst)
 
 
-def check_initial_data(model, grid_f0, grid_q0, resolution=180, refine_iters=5):
-    """Node-wise gamma estimates for the frozen tangents of initial data.
+def check_initial_data(model, grid_f0, grid_q0, resolution=360, refine_iters=5):
+    """Cell-wise gamma estimates for the frozen tangents of initial data.
 
-    grid_f0, grid_q0: arrays of shape (nodes, n, n) with det F0 > 0 at every
-    node.  Repeated (F0, Q0) pairs are computed once; the distinct tangents
-    are built in one call and searched as one batch, and each node's gamma
-    equals that of `rank_one_min` on its tangent.  The report passes when
-    the supremum of the node gammas is finite.
+    grid_f0, grid_q0: arrays of shape (cells, n, n), the cell gradients of
+    the initial deformation and velocity, with det F0 > 0 in every cell.
+    Repeated (F0, Q0) pairs are computed once; the distinct tangents are
+    built in one call and searched as one batch, and each cell's gamma
+    equals that of `rank_one_min` on its tangent at the same resolution and
+    refine_iters (both default alike).  The report passes when the supremum
+    of the cell gammas is finite.
     """
     f0 = np.asarray(grid_f0, dtype=float)
     q0 = np.asarray(grid_q0, dtype=float)

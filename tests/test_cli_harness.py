@@ -1,15 +1,17 @@
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import viscolab.pde_solver as pde_solver
-from viscolab.cli_harness import (cmd_check, cmd_convergence, cmd_korn,
-                                  cmd_simulate, main, parse_config,
+from viscolab.cli_harness import (_rate_table, cmd_check, cmd_convergence,
+                                  cmd_korn, cmd_simulate, main, parse_config,
                                   serialize_config, validate_vtk,
                                   write_vtk_snapshot)
-from viscolab.errors import ParseError, RangeError
+from viscolab.errors import InvalidConfig, ParseError, RangeError
+from viscolab.pde_solver import SolverConfig, build_grid
 
 
 def spec_from(tmp_path, text, **overrides):
@@ -63,6 +65,61 @@ def test_parse_errors():
     except RangeError as exc:
         err = exc
     assert err is not None and err.key == 'cells'
+
+
+# one out-of-range value per SolverConfig field and the reason printed for it
+SOLVER_OUT_OF_RANGE = {
+    'dt': (0.0, "must be positive"),
+    't_end': (0.0105, "must be a whole number of steps dt = 0.001"),
+    'picard_tol': (0.0, "must be positive"),
+    'picard_max': (0, "must be at least 1"),
+    'det_floor': (-1.0, "must be positive"),
+    'linear_tol': (0.0, "must be positive"),
+    'save_every': (0, "must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("field", [f for f in fields(SolverConfig)
+                                   if f.default is not MISSING],
+                         ids=lambda f: f.name)
+def test_parse_config_takes_solver_defaults(field):
+    assert getattr(parse_config("command = simulate\n"), field.name) == field.default
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(SolverConfig)])
+def test_solver_key_range_is_checked_by_solver_config(key):
+    value, why = SOLVER_OUT_OF_RANGE[key]
+    with pytest.raises(InvalidConfig) as parsed:
+        parse_config(f"command = simulate\n{key} = {value}\n")
+    with pytest.raises(InvalidConfig) as built:
+        SolverConfig(**{'dt': 1e-3, 't_end': 1.0, key: value})
+    for exc in (parsed.value, built.value):
+        assert exc.key == key
+        assert str(exc) == f"key '{key}': {why}"
+
+
+@pytest.mark.parametrize("key, value, cli_why, grid_why", [
+    ('cells', 2, "must be at least 4", "must be at least 4"),
+    ('dim', 4, "must be 1 or 2", "must be 1, 2 or 3"),
+], ids=['cells', 'dim'])
+def test_grid_key_range_is_checked_by_build_grid(key, value, cli_why, grid_why):
+    with pytest.raises(InvalidConfig) as parsed:
+        parse_config(f"command = simulate\n{key} = {value}\n")
+    with pytest.raises(InvalidConfig) as built:
+        build_grid(**{'dim': 1, 'cells': 64, key: value})
+    for exc, why in ((parsed.value, cli_why), (built.value, grid_why)):
+        assert exc.key == key
+        assert str(exc) == f"key '{key}': {why}"
+
+
+def test_first_out_of_range_solver_key_is_reported():
+    # a partial last step is reported before picard_max, as the CLI did
+    text = "command = simulate\ndt = 0.003\nt_end = 0.01\npicard_max = 0\n"
+    with pytest.raises(RangeError) as parsed:
+        parse_config(text)
+    with pytest.raises(RangeError) as built:
+        SolverConfig(dt=0.003, t_end=0.01, picard_max=0)
+    assert parsed.value.key == built.value.key == 't_end'
 
 
 def test_parse_single_level_rejected():
@@ -383,6 +440,22 @@ def test_cmd_convergence_small_case(tmp_path):
     assert float(rep['spatial_rate']) >= 1.9
     assert float(rep['temporal_rate']) >= 0.9
     assert rep['pass'] == 'true'
+
+
+def test_cmd_convergence_zero_solution_fails(tmp_path):
+    # amplitude 0: every error is 0, so no rate is measured and the gate fails
+    spec = spec_from(tmp_path,
+                     "command = convergence\ndim = 1\ncells = 16\nlevels = 2\n"
+                     "spatial_dt = 5e-5\nconv_t_end = 0.05\ndt = 0.01\n"
+                     "amplitude = 0\n")
+    assert cmd_convergence(spec) == 5
+    rep = read_report(tmp_path / "out" / "rates.txt")
+    assert rep['spatial_l2_level1'] == '0'
+    assert rep['spatial_rate'] == rep['temporal_rate'] == 'nan'
+    assert rep['pass'] == 'false'
+    # a zero coarse error with a positive fine one measures no rate either
+    assert np.isnan(_rate_table([0.0, 1e-3])).all()
+    assert _rate_table([4e-3, 1e-3])[0] == 2.0
 
 
 def test_cmd_convergence_broken_stencil(tmp_path, monkeypatch):

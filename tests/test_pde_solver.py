@@ -341,16 +341,18 @@ def test_interior_matrix_shift_adds_at_diagonal(dim, cells):
 
 def test_interior_matrix_pattern_is_shared_read_only_and_unsorted():
     # every assembly reuses the grid's pattern; reordering needs a copy
-    g = build_grid(2, 6)
-    op = ViscousOperator(g, identity_tangent(g))
-    a, b = op.interior_matrix(2.0), op.interior_matrix()
-    assert not a.indices.flags.writeable
-    assert np.shares_memory(a.indices, b.indices)
-    assert not a.has_sorted_indices
-    c = a.copy()
-    c.sort_indices()
-    assert c.has_sorted_indices
-    assert np.array_equal(c.toarray(), a.toarray())
+    for dim in (1, 2, 3):
+        g = build_grid(dim, 6)
+        op = ViscousOperator(g, identity_tangent(g))
+        a, b = op.interior_matrix(2.0), op.interior_matrix()
+        for name in ('indices', 'indptr'):
+            assert not getattr(a, name).flags.writeable
+            assert np.shares_memory(getattr(a, name), getattr(b, name))
+        assert not a.has_sorted_indices
+        c = a.copy()
+        c.sort_indices()
+        assert c.has_sorted_indices
+        assert np.array_equal(c.toarray(), a.toarray())
 
 
 def test_cached_grid_arrays_read_only():
@@ -446,6 +448,10 @@ def test_solver_config_rejects_partial_last_step():
         SolverConfig(dt=3e-3, t_end=1e-2)
     with pytest.raises(InvalidConfig):
         SolverConfig(dt=1e-3, t_end=5e-4)
+    # no step at all: an infinite t_end, or a dt that swallows t_end
+    for dt, t_end in ((1e-3, np.inf), (np.inf, 1.0)):
+        with pytest.raises(InvalidConfig, match="whole number of steps"):
+            SolverConfig(dt=dt, t_end=t_end)
     # decimal roundoff in t_end / dt is not a partial step
     g = build_grid(1, 8)
     traj = run(W0_Z0DP, g, SolverConfig(dt=0.1, t_end=0.3), rest_state(g))

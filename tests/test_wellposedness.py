@@ -268,6 +268,18 @@ def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
     assert rep.nodes_checked == len(f0)
 
 
+@pytest.mark.parametrize("model", [ViscosityModel.z0prime(), ViscosityModel.zm(1)])
+def test_check_initial_data_defaults_match_rank_one_min(model):
+    # both searches run at the same default resolution and refine_iters
+    rng = np.random.default_rng(35)
+    f0 = random_deformations(2, 6, rng)
+    q0 = rng.standard_normal((6, 2, 2))
+    single = [rank_one_min(viscous_tangent_q(model, f, q)).gamma_est
+              for f, q in zip(f0, q0)]
+    rep = check_initial_data(model, f0, q0)
+    assert rep.gamma_sup == max(single) and rep.gamma_inf == min(single)
+
+
 @pytest.mark.parametrize("model", [ViscosityModel.z0doubleprime(),
                                    ViscosityModel.z0prime(),
                                    ViscosityModel.zm(1), ViscosityModel.zm(2)])
