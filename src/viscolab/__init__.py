@@ -18,9 +18,9 @@ from .pde_solver import (ExactSolution, FieldState, Grid, SolverConfig,
                          manufactured_run, run, semi_implicit_step,
                          stress_divergence)
 from .tensor_core import frob, random_rotation, skew, sym
-from .wellposedness import (RankOneResult, SpectrumReport, UniformGammaReport,
-                            acoustic_spectrum, check_initial_data,
-                            closed_form_gamma, fourier_korn_sample,
-                            rank_one_min, sector_scan)
+from .wellposedness import (CoercivityConfig, RankOneResult, SpectrumReport,
+                            UniformGammaReport, acoustic_spectrum,
+                            check_initial_data, closed_form_gamma,
+                            fourier_korn_sample, rank_one_min, sector_scan)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import get_args
 
 import numpy as np
@@ -27,50 +27,51 @@ from . import constitutive, diagnostics, pde_solver, wellposedness
 from .constitutive import ConstitutiveModel, EnergyModel, ViscosityModel
 from .errors import (DegenerateQ, DomainError, InvalidConfig, ParseError,
                      RangeError, Unsupported, ViscolabError)
+from .pde_solver import SolverConfig
+from .wellposedness import CoercivityConfig
 
 COMMANDS = ('check', 'korn', 'simulate', 'convergence')
 PRESETS = ('rest', 'sinusoidal', 'compression', 'reflected')
-# SolverConfig's keys and defaults (MISSING for dt and t_end, set in RunSpec)
-_SOLVER_DEFAULTS = {f.name: f.default for f in fields(pde_solver.SolverConfig)}
 
 
 @dataclass(frozen=True)
 class RunSpec:
+    """A parsed config.  The model keys, the solver keys and the coercivity
+    knobs take their defaults from the library objects that own them; dt and
+    t_end have no library default, and the rest are the command line's own.
+    """
+
     command: str
-    energy: str = 'w0'
-    energy_q: float = 2.0
-    viscosity: str = 'z0doubleprime'
-    viscosity_m: int = 0
+    energy: str = EnergyModel.kind
+    energy_q: float = EnergyModel.q
+    viscosity: str = ViscosityModel.kind
+    viscosity_m: int = ViscosityModel.m
     dim: int = 1
     cells: int = 64
     dt: float = 1e-3
     t_end: float = 1.0
-    picard_tol: float = _SOLVER_DEFAULTS['picard_tol']
-    picard_max: int = _SOLVER_DEFAULTS['picard_max']
-    det_floor: float = _SOLVER_DEFAULTS['det_floor']
-    linear_tol: float = _SOLVER_DEFAULTS['linear_tol']
-    save_every: int = _SOLVER_DEFAULTS['save_every']
+    picard_tol: float = SolverConfig.picard_tol
+    picard_max: int = SolverConfig.picard_max
+    det_floor: float = SolverConfig.det_floor
+    linear_tol: float = SolverConfig.linear_tol
+    save_every: int = SolverConfig.save_every
     preset: str = 'rest'
     amplitude: float = 0.1
     mode: int = 1
     rate: float = 10.0
     out: str = 'out'
-    seed: int = 0
+    seed: int = CoercivityConfig.seed
     f0: tuple | None = None
     q0: tuple | None = None
-    angular_resolution: int = 360
-    refine_iters: int = 5
-    num_directions: int = 360
-    num_fields: int = 100
-    max_modes: int = 8
+    angular_resolution: int = CoercivityConfig.angular_resolution
+    refine_iters: int = CoercivityConfig.refine_iters
+    num_directions: int = CoercivityConfig.num_directions
+    num_fields: int = CoercivityConfig.num_fields
+    max_modes: int = CoercivityConfig.max_modes
     levels: int = 3
     fine_cells: int | None = None
     spatial_dt: float | None = None
     conv_t_end: float | None = None
-    explicit: frozenset = field(default=frozenset(), compare=False, repr=False)
-
-    def was_set(self, key):
-        return key in self.explicit
 
 
 _TYPE_TAGS = {str: 'str', int: 'int', float: 'float', tuple: 'floats'}
@@ -82,10 +83,10 @@ def _type_tag(annotation):
     return _TYPE_TAGS[kinds[0]]
 
 
-# key -> (type tag, default) in RunSpec field order; None defaults mean
-# "derived at use site"
+# key -> (type tag, default) in RunSpec field order; a None default means
+# unset (the convergence study fills in its own, see _study_defaults)
 _KEY_TABLE = {f.name: (_type_tag(f.type), None if f.default is MISSING else f.default)
-              for f in fields(RunSpec) if f.name != 'explicit'}
+              for f in fields(RunSpec)}
 
 
 def _convert(key, raw, line_no):
@@ -110,26 +111,20 @@ def _validate(values):
 
     need('command', values['command'] in COMMANDS,
          f"must be one of {COMMANDS}, got {values['command']!r}")
-    need('energy', values['energy'] in constitutive.ENERGY_KINDS,
-         f"must be one of {constitutive.ENERGY_KINDS}")
-    need('energy_q', values['energy_q'] > 1.0, "must exceed 1")
-    need('viscosity', values['viscosity'] in constitutive.VISCOSITY_KINDS,
-         f"must be one of {constitutive.VISCOSITY_KINDS}")
-    need('viscosity_m', values['viscosity_m'] >= 0, "must be nonnegative")
+    # the models, build_grid, SolverConfig and CoercivityConfig raise
+    # RangeError for the keys they own
+    build_model(values)
     need('dim', values['dim'] in (1, 2), "must be 1 or 2")
-    # build_grid and SolverConfig raise RangeError for the keys they own
     pde_solver.build_grid(values['dim'], values['cells'])
-    solver_config(values)
+    # the convergence study never reads t_end; its windows are checked last
+    solver_config(values if values['command'] != 'convergence'
+                  else dict(values, t_end=values['dt']))
     need('preset', values['preset'] in PRESETS, f"must be one of {PRESETS}")
+    need('amplitude', math.isfinite(values['amplitude']), "must be finite")
     need('mode', values['mode'] >= 1, "must be at least 1")
     need('rate', values['rate'] > 0.0, "must be positive")
-    need('angular_resolution', values['angular_resolution'] >= 8,
-         "must be at least 8")
-    need('refine_iters', values['refine_iters'] >= 0, "must be nonnegative")
-    need('num_directions', values['num_directions'] >= values['dim'] + 1,
-         f"must be at least dim + 1 = {values['dim'] + 1}")
-    need('num_fields', values['num_fields'] >= 1, "must be at least 1")
-    need('max_modes', values['max_modes'] >= 1, "must be at least 1")
+    need('rate', math.isfinite(values['rate']), "must be finite")
+    CoercivityConfig(**{f.name: values[f.name] for f in fields(CoercivityConfig)})
     need('levels', values['levels'] >= 2, "needs at least 2 levels")
     if values['fine_cells'] is not None:
         need('fine_cells', values['fine_cells'] >= 4, "must be at least 4")
@@ -144,10 +139,16 @@ def _validate(values):
                  f"needs {nn} comma-separated entries for dim {values['dim']}")
             need(key, all(math.isfinite(x) for x in values[key]),
                  "entries must be finite")
+    if values['command'] == 'convergence':
+        _study_runs(values)
 
 
-def parse_config(text):
-    """Parse a flat key=value document into a RunSpec; applies defaults."""
+def parse_config(text, **overrides):
+    """Parse a flat key=value document into a RunSpec; applies defaults.
+
+    overrides (the command line's --out and --seed) replace the document's
+    values before they are validated.
+    """
     seen = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split('#', 1)[0].strip()
@@ -167,25 +168,13 @@ def parse_config(text):
         seen[key] = _convert(key, value, line_no)
     if 'command' not in seen:
         raise ParseError("missing required key 'command'")
+    seen.update(overrides)
     values = {key: default for key, (_, default) in _KEY_TABLE.items()}
     values.update(seen)
+    if values['command'] == 'convergence':
+        _study_defaults(values, seen)
     _validate(values)
-    return RunSpec(**values, explicit=frozenset(seen))
-
-
-def serialize_config(spec):
-    """Canonical text form; parse_config(serialize_config(s)) == s."""
-    lines = []
-    for key in _KEY_TABLE:
-        val = getattr(spec, key)
-        if val is None:
-            continue
-        if isinstance(val, tuple):
-            val = ','.join(_fmt(x) for x in val)
-        elif isinstance(val, float):
-            val = _fmt(val)
-        lines.append(f"{key} = {val}")
-    return '\n'.join(lines) + '\n'
+    return RunSpec(**values)
 
 
 def _fmt(x):
@@ -193,15 +182,54 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def build_model(spec):
-    energy = EnergyModel(spec.energy, spec.energy_q)
-    viscosity = ViscosityModel(spec.viscosity, spec.viscosity_m)
-    return ConstitutiveModel(energy, viscosity)
+def build_model(values):
+    """ConstitutiveModel of the parsed values, or of vars() of a RunSpec."""
+    return ConstitutiveModel(EnergyModel(values['energy'], values['energy_q']),
+                             ViscosityModel(values['viscosity'],
+                                            values['viscosity_m']))
 
 
 def solver_config(values):
     """SolverConfig of the parsed values, or of vars() of a RunSpec."""
-    return pde_solver.SolverConfig(**{key: values[key] for key in _SOLVER_DEFAULTS})
+    return SolverConfig(**{f.name: values[f.name] for f in fields(SolverConfig)})
+
+
+def _study_defaults(values, seen):
+    """Fill in the convergence study's defaults for the keys it reads and
+    the config leaves out: the base cells and dt, spatial_dt and conv_t_end
+    by dim, and fine_cells, the base cells refined levels - 1 times."""
+    one_d = values['dim'] == 1
+    study = {'cells': 16 if one_d else 8, 'dt': 2e-2,
+             'spatial_dt': 2e-5 if one_d else 2.5e-4, 'conv_t_end': 0.1}
+    values.update({key: val for key, val in study.items() if key not in seen})
+    if 'fine_cells' not in seen:
+        values['fine_cells'] = values['cells'] * 2 ** (values['levels'] - 1)
+
+
+def _study_runs(values):
+    """(cells, SolverConfig) of each run of the convergence study.
+
+    First levels grid refinements of the base cells at spatial_dt over
+    conv_t_end, then levels halvings of dt on fine_cells over twice that
+    window, long enough for the time error to dominate the fixed spatial
+    floor.  Each run saves about four snapshots.  RangeError names
+    conv_t_end when a window is not a whole number of steps.
+    """
+    window, levels = values['conv_t_end'], values['levels']
+    plan = [(values['cells'] * 2 ** lv, values['spatial_dt'], window,
+             "must be a whole number of steps spatial_dt")
+            for lv in range(levels)]
+    plan += [(values['fine_cells'], values['dt'] / 2 ** lv, 2.0 * window,
+              "twice it must be a whole number of steps dt")
+             for lv in range(levels)]
+    runs = []
+    for cells, dt, t_stop, why in plan:
+        steps = pde_solver.whole_steps(t_stop, dt)
+        if steps is None:
+            raise RangeError('conv_t_end', f"{why} = {dt!r}")
+        runs.append((cells, solver_config(dict(
+            values, dt=dt, t_end=t_stop, save_every=max(1, steps // 4)))))
+    return runs
 
 
 def preset_functions(spec):
@@ -480,7 +508,7 @@ def cmd_simulate(spec):
     _prepare_outdir(spec)
     grid = pde_solver.build_grid(spec.dim, spec.cells)
     state = _initial_state(spec, grid)
-    model = build_model(spec)
+    model = build_model(vars(spec))
     traj = pde_solver.run(model, grid, solver_config(vars(spec)), state)
     energy_rep = diagnostics.energy_report(traj, model, grid)
     mindet = diagnostics.min_det_series(traj, grid)
@@ -510,22 +538,14 @@ def _rate_table(errors):
 
 def cmd_convergence(spec):
     """Manufactured-solution study over grid and time-step halvings."""
+    runs = _study_runs(vars(spec))
     _prepare_outdir(spec)
     dim = spec.dim
-    model = build_model(spec)
+    model = build_model(vars(spec))
     exact = pde_solver.manufactured_default(dim, spec.amplitude)
-    base_cells = spec.cells if spec.was_set('cells') else (16 if dim == 1 else 8)
-    base_dt = spec.dt if spec.was_set('dt') else 2e-2
-    spatial_dt = spec.spatial_dt if spec.spatial_dt is not None \
-        else (2e-5 if dim == 1 else 2.5e-4)
-    t_end = spec.conv_t_end if spec.conv_t_end is not None else 0.1
-    fine_cells = spec.fine_cells if spec.fine_cells is not None \
-        else base_cells * 2 ** (spec.levels - 1)
 
-    def one(cells, dt, t_stop):
+    def one(cells, cfg):
         grid = pde_solver.build_grid(dim, cells)
-        cfg = replace(solver_config(vars(spec)), dt=dt, t_end=t_stop,
-                      save_every=max(1, int(round(t_stop / dt)) // 4))
         res = pde_solver.manufactured_run(model, grid, cfg, exact)
         if res.trajectory.termination.kind != 'completed':
             raise ViscolabError(
@@ -533,16 +553,12 @@ def cmd_convergence(spec):
         return res.l2
 
     try:
-        spatial_err = [one(base_cells * 2 ** lv, spatial_dt, t_end)
-                       for lv in range(spec.levels)]
-        # the big-step study needs a longer window for the time error to
-        # dominate the fixed spatial floor
-        temporal_err = [one(fine_cells, base_dt / 2 ** lv, 2.0 * t_end)
-                        for lv in range(spec.levels)]
+        errors = [one(cells, cfg) for cells, cfg in runs]
     except InvalidConfig:
-        raise       # e.g. conv_t_end not a whole number of steps: input error
+        raise       # e.g. initial fields that overflow: input error
     except ViscolabError:
         return 4
+    spatial_err, temporal_err = errors[:spec.levels], errors[spec.levels:]
     spatial_rates = _rate_table(spatial_err)
     temporal_rates = _rate_table(temporal_err)
     want_space, want_time = (1.9, 0.9) if dim == 1 else (1.7, 0.8)
@@ -586,8 +602,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"viscolab: cannot read config: {exc}", file=sys.stderr)
         return 2
+    overrides = {key: val for key, val in (('out', args.out), ('seed', args.seed))
+                 if val is not None}
     try:
-        spec = parse_config(text)
+        spec = parse_config(text, **overrides)
     except ParseError as exc:
         print(f"viscolab: {exc}", file=sys.stderr)
         return 2
@@ -595,10 +613,6 @@ def main(argv=None):
         print(f"viscolab: config says command = {spec.command!r}, "
               f"CLI asked for {args.command!r}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        spec = replace(spec, out=args.out)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     try:
         return _DISPATCH[spec.command](spec)
     except ViscolabError as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrix
+from .errors import DomainError, RangeError, SingularMatrix
 from .tensor_core import EPS_SINGULAR, frob, rotation_sample, skew, sym
 
 ENERGY_KINDS = ('w0', 'w1', 'w2')
@@ -23,16 +23,20 @@ class EnergyModel:
     kind 'w0': |F^T F - Id|^2 (smooth everywhere, no determinant blow-up).
     kind 'w1': |(F^T F)^1/2 - Id|^2 + |log det F|^q, infinite for det F <= 0.
     kind 'w2': |(F^T F)^1/2 - Id|^2 + |1/det F - 1|^q, infinite for det F <= 0.
+
+    The one owner of the defaults and ranges of the config keys energy and
+    energy_q: RangeError names the first one out of range.  q > 1 is asked
+    of every kind, w0 too, although only w1 and w2 read it.
     """
 
-    kind: str
+    kind: str = 'w0'
     q: float = 2.0
 
     def __post_init__(self):
         if self.kind not in ENERGY_KINDS:
-            raise ValueError(f"unknown energy kind {self.kind!r}")
-        if self.kind in ('w1', 'w2') and not self.q > 1.0:
-            raise ValueError(f"q must exceed 1, got {self.q}")
+            raise RangeError('energy', f"must be one of {ENERGY_KINDS}")
+        if not self.q > 1.0:
+            raise RangeError('energy_q', "must exceed 1")
 
     @classmethod
     def w0(cls):
@@ -54,16 +58,22 @@ class ViscosityModel:
     kind 'zm':             [sym(Q F^-1)]^(2m+1) F^-T
     kind 'z0prime':        2 (det F) sym(Q F^-1) F^-T
     kind 'z0doubleprime':  2 F sym(F^T Q)
+
+    The one owner of the defaults and ranges of the config keys viscosity
+    and viscosity_m: RangeError names the first one out of range.  A
+    nonnegative integer m is asked of every kind, although only zm reads it.
     """
 
-    kind: str
+    kind: str = 'z0doubleprime'
     m: int = 0
 
     def __post_init__(self):
         if self.kind not in VISCOSITY_KINDS:
-            raise ValueError(f"unknown viscosity kind {self.kind!r}")
-        if self.kind == 'zm' and (self.m < 0 or int(self.m) != self.m):
-            raise ValueError(f"m must be a nonnegative integer, got {self.m}")
+            raise RangeError('viscosity', f"must be one of {VISCOSITY_KINDS}")
+        if not self.m >= 0:
+            raise RangeError('viscosity_m', "must be nonnegative")
+        if not float(self.m).is_integer():
+            raise RangeError('viscosity_m', "must be an integer")
 
     @classmethod
     def zm(cls, m):

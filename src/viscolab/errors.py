@@ -55,8 +55,10 @@ class ParseError(ViscolabError):
         super().__init__(message)
 
 
-class RangeError(ParseError, InvalidConfig):
-    """A config key outside its range, from the parser, SolverConfig or build_grid."""
+class RangeError(ParseError, InvalidConfig, ValueError):
+    """A config key outside its range, raised by the parser or by the library
+    object that owns the key (a model, CoercivityConfig, SolverConfig or
+    build_grid); a ValueError to library callers."""
 
     def __init__(self, key, message):
         self.key = key

@@ -18,12 +18,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQ, DomainError, SingularMatrix, Unsupported
+from .errors import (DegenerateQ, DomainError, RangeError, SingularMatrix,
+                     Unsupported)
 from .tensor_core import EPS_SINGULAR, frob
 # viscous_tangent_q stays bound here: perfbench/tracing.py wraps it by this name
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@dataclass(frozen=True)
+class CoercivityConfig:
+    """Knobs of the coercivity searches on a dim x dim tangent, and the one
+    owner of their defaults and ranges: RangeError names the first knob out
+    of range.  num_directions needs at least dim + 1 directions."""
+
+    dim: int
+    angular_resolution: int = 360
+    refine_iters: int = 5
+    num_directions: int = 360
+    num_fields: int = 100
+    max_modes: int = 8
+    seed: int = 0
+
+    def __post_init__(self):
+        if not self.angular_resolution >= 8:
+            raise RangeError('angular_resolution', "must be at least 8")
+        if not self.refine_iters >= 0:
+            raise RangeError('refine_iters', "must be nonnegative")
+        if not self.num_directions >= self.dim + 1:
+            raise RangeError('num_directions',
+                             f"must be at least dim + 1 = {self.dim + 1}")
+        for key in ('num_fields', 'max_modes'):
+            if not getattr(self, key) >= 1:
+                raise RangeError(key, "must be at least 1")
+        if not self.seed >= 0:
+            raise RangeError('seed', "must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,9 +165,9 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     minimal eigenvector of the contracted matrix); a member leaves it once
     its ratio falls by less than 1e-14.
     """
-    if angular_resolution < 8:
-        raise ValueError("angular_resolution must be at least 8")
     z, n = t4.shape[0], t4.shape[1]
+    CoercivityConfig(n, angular_resolution=angular_resolution,
+                     refine_iters=refine_iters)
     if n == 1:
         one = np.ones((z, 1))
         return t4[:, 0, 0, 0, 0], one, one
@@ -192,7 +222,8 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     return ratio, a, b
 
 
-def rank_one_min(m, angular_resolution=360, refine_iters=5):
+def rank_one_min(m, angular_resolution=CoercivityConfig.angular_resolution,
+                 refine_iters=CoercivityConfig.refine_iters):
     """Minimize <M(a x b) : a x b> / (|a|^2 |b|^2) over unit vectors a, b.
 
     For fixed b the ratio is a Rayleigh quotient in a, so its exact minimum
@@ -282,8 +313,7 @@ def sector_scan(m, num_directions):
     the open right half plane away from the imaginary axis.
     """
     n = _tensor4(m).shape[0]
-    if num_directions < n + 1:
-        raise ValueError(f"need at least {n + 1} directions")
+    CoercivityConfig(n, num_directions=num_directions)
     dirs = _directions(n, num_directions)
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     eigs = acoustic_spectrum(m, dirs)
@@ -325,10 +355,9 @@ def fourier_korn_sample(m, num_fields, max_modes, seed):
     Every field ratio is a convex combination of rank-one ratios, so the
     result can never fall below ratio_min(M) beyond roundoff.
     """
-    if num_fields < 1 or max_modes < 1:
-        raise ValueError("num_fields and max_modes must be at least 1")
     t4 = _tensor4(m)
     n = t4.shape[0]
+    CoercivityConfig(n, num_fields=num_fields, max_modes=max_modes, seed=seed)
     modes = _half_space_modes(n, max_modes)
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -342,16 +371,19 @@ def fourier_korn_sample(m, num_fields, max_modes, seed):
     return float(worst)
 
 
-def check_initial_data(model, grid_f0, grid_q0, resolution=360, refine_iters=5):
+def check_initial_data(model, grid_f0, grid_q0,
+                       angular_resolution=CoercivityConfig.angular_resolution,
+                       refine_iters=CoercivityConfig.refine_iters):
     """Cell-wise gamma estimates for the frozen tangents of initial data.
 
     grid_f0, grid_q0: arrays of shape (cells, n, n), the cell gradients of
     the initial deformation and velocity, with det F0 > 0 in every cell.
     Repeated (F0, Q0) pairs are computed once; the distinct tangents are
     built in one call and searched as one batch, and each cell's gamma
-    equals that of `rank_one_min` on its tangent at the same resolution and
-    refine_iters (both default alike).  The report passes when the supremum
-    of the cell gammas is finite.
+    equals that of `rank_one_min` on its tangent at the same
+    angular_resolution and refine_iters (both take CoercivityConfig's
+    defaults).  The report passes when the supremum of the cell gammas is
+    finite.
     """
     f0 = np.asarray(grid_f0, dtype=float)
     q0 = np.asarray(grid_q0, dtype=float)
@@ -376,7 +408,7 @@ def check_initial_data(model, grid_f0, grid_q0, resolution=360, refine_iters=5):
     if not np.all(finite):
         raise ValueError(f"non-finite tangent at node {nodes[np.argmin(finite)]}")
     n = f0.shape[-1]
-    ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), resolution,
+    ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), angular_resolution,
                             refine_iters)[0]
     gammas = np.empty(f0.shape[0])
     gammas[nodes] = _gammas(ratio)

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -8,10 +9,13 @@ import pytest
 import viscolab.pde_solver as pde_solver
 from viscolab.cli_harness import (_rate_table, cmd_check, cmd_convergence,
                                   cmd_korn, cmd_simulate, main, parse_config,
-                                  serialize_config, validate_vtk,
-                                  write_vtk_snapshot)
+                                  validate_vtk, write_vtk_snapshot)
+from viscolab.constitutive import EnergyModel, ViscosityModel
 from viscolab.errors import InvalidConfig, ParseError, RangeError
 from viscolab.pde_solver import SolverConfig, build_grid
+from viscolab.wellposedness import CoercivityConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def spec_from(tmp_path, text, **overrides):
@@ -34,7 +38,19 @@ def test_parse_minimal_defaults():
     assert spec.energy == 'w0' and spec.viscosity == 'z0doubleprime'
     assert spec.dim == 1 and spec.cells == 64
     assert spec.dt == 1e-3 and spec.t_end == 1.0
-    assert spec.was_set('command') and not spec.was_set('cells')
+    assert spec.spatial_dt is None and spec.fine_cells is None
+
+
+def test_parse_fills_in_the_convergence_study_defaults():
+    # the study's own defaults for the keys it reads, where the config is silent
+    spec = parse_config("command = convergence\n")
+    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end,
+            spec.fine_cells) == (16, 2e-2, 2e-5, 0.1, 64)
+    spec = parse_config("command = convergence\ndim = 2\nlevels = 2\n")
+    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end,
+            spec.fine_cells) == (8, 2e-2, 2.5e-4, 0.1, 16)
+    spec = parse_config("command = convergence\ncells = 4\ndt = 0.01\n")
+    assert (spec.cells, spec.dt, spec.fine_cells) == (4, 0.01, 16)
 
 
 def test_parse_comments_and_values():
@@ -122,17 +138,106 @@ def test_first_out_of_range_solver_key_is_reported():
     assert parsed.value.key == built.value.key == 't_end'
 
 
+# key -> (owner, the owner's field, an out-of-range value, the reason printed)
+OWNED_KEYS = {
+    'energy': (EnergyModel, 'kind', 'w9', "must be one of ('w0', 'w1', 'w2')"),
+    'energy_q': (EnergyModel, 'q', 1.0, "must exceed 1"),
+    'viscosity': (ViscosityModel, 'kind', 'nope',
+                  "must be one of ('zm', 'z0prime', 'z0doubleprime')"),
+    'viscosity_m': (ViscosityModel, 'm', -1, "must be nonnegative"),
+    'angular_resolution': (CoercivityConfig, 'angular_resolution', 7,
+                           "must be at least 8"),
+    'refine_iters': (CoercivityConfig, 'refine_iters', -1, "must be nonnegative"),
+    'num_directions': (CoercivityConfig, 'num_directions', 1,
+                       "must be at least dim + 1 = 2"),
+    'num_fields': (CoercivityConfig, 'num_fields', 0, "must be at least 1"),
+    'max_modes': (CoercivityConfig, 'max_modes', 0, "must be at least 1"),
+    'seed': (CoercivityConfig, 'seed', -1, "must be nonnegative"),
+}
+
+
+def _build_owner(owner, name, value):
+    # the configs below parse at dim 1, so CoercivityConfig is built at dim 1
+    return owner(**({'dim': 1} if owner is CoercivityConfig else {}), **{name: value})
+
+
+@pytest.mark.parametrize("key", OWNED_KEYS)
+def test_parse_config_takes_model_and_coercivity_defaults(key):
+    owner, name, _, _ = OWNED_KEYS[key]
+    default = {f.name: f.default for f in fields(owner)}[name]
+    assert getattr(parse_config("command = korn\n"), key) == default
+
+
+@pytest.mark.parametrize("key", OWNED_KEYS)
+def test_model_and_coercivity_ranges_are_checked_by_their_owners(key):
+    owner, name, value, why = OWNED_KEYS[key]
+    with pytest.raises(RangeError) as parsed:
+        parse_config(f"command = korn\n{key} = {value}\n")
+    with pytest.raises(RangeError) as built:
+        _build_owner(owner, name, value)
+    for exc in (parsed.value, built.value):
+        assert exc.key == key
+        assert str(exc) == f"key '{key}': {why}"
+
+
+def test_first_out_of_range_key_keeps_the_parse_order():
+    # preset is checked before the coercivity knobs, the model keys first
+    with pytest.raises(RangeError) as info:
+        parse_config("command = korn\npreset = bad\nangular_resolution = 4\n")
+    assert info.value.key == 'preset'
+    with pytest.raises(RangeError) as info:
+        parse_config("command = korn\nenergy = w9\nenergy_q = 1\ncells = 2\n")
+    assert info.value.key == 'energy'
+
+
+@pytest.mark.parametrize("key, value", [
+    ('amplitude', 'nan'), ('amplitude', 'inf'), ('rate', 'inf'), ('rate', 'nan'),
+])
+def test_amplitude_and_rate_must_be_finite(tmp_path, capsys, key, value):
+    # both once passed the parser and failed after the output directory existed
+    text = (f"command = simulate\npreset = sinusoidal\ncells = 8\n"
+            f"dt = 0.01\nt_end = 0.02\n{key} = {value}\n")
+    with pytest.raises(RangeError) as info:
+        parse_config(text)
+    assert info.value.key == key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"viscolab: key '{key}': ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("command = korn\nseed = -1\n", []),
+    ("command = korn\nseed = 3\n", ["--seed", "-1"]),
+], ids=['config', 'flag'])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, text, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["korn", "--config", str(cfg), "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == "viscolab: key 'seed': must be nonnegative\n"
+    assert not out.exists()
+
+
+def test_benchmark_workload_configs_parse():
+    # a stricter parse-time check that rejected a workload would fail every
+    # benchmark run of it; the workloads module is read, not changed
+    path = REPO / "perfbench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    assert module.WORKLOADS
+    for workload in module.WORKLOADS.values():
+        for seed in range(1, 11):
+            spec = parse_config(workload.config_text(seed))
+            assert spec.command == workload.command
+
+
 def test_parse_single_level_rejected():
     with pytest.raises(ParseError):
         parse_config("command = convergence\nlevels = 1\n")
-
-
-def test_roundtrip():
-    text = ("command = korn\ndim = 2\nviscosity = zm\nviscosity_m = 1\n"
-            "f0 = 1,0.25,0,1\nq0 = 0.5,0,0,-0.5\nseed = 9\n")
-    spec = parse_config(text)
-    again = parse_config(serialize_config(spec))
-    assert again == spec
 
 
 def test_cmd_check_rest(tmp_path):
@@ -417,18 +522,30 @@ def test_main_parse_error_exit(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
-def test_t_end_must_be_whole_steps(tmp_path):
+def test_t_end_must_be_whole_steps(tmp_path, capsys):
     with pytest.raises(RangeError) as info:
         parse_config("command = simulate\ndt = 0.003\nt_end = 0.01\n")
     assert info.value.key == 't_end'
     cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
     cfg.write_text("command = simulate\ndt = 0.003\nt_end = 0.01\n")
-    assert main(["simulate", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    # the convergence windows are checked against their own step sizes
-    cfg.write_text("command = convergence\nspatial_dt = 3e-5\n")
-    assert main(["convergence", "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    # the convergence windows are checked at parse time against their own
+    # step sizes, and the error names conv_t_end, which the study reads
+    for text, why in [
+        ("spatial_dt = 3e-5\n",
+         "must be a whole number of steps spatial_dt = 3e-05"),
+        ("dt = 0.03\n", "twice it must be a whole number of steps dt = 0.03"),
+    ]:
+        cfg.write_text("command = convergence\n" + text)
+        capsys.readouterr()
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"viscolab: key 'conv_t_end': {why}\n"
+        assert not out.exists()
+    # the study never reads t_end, so t_end = 1 against dt = 0.3 is no error
+    spec = parse_config("command = convergence\ndt = 0.3\nconv_t_end = 0.15\n")
+    assert spec.dt == 0.3 and spec.t_end == 1.0
 
 
 def test_cmd_convergence_small_case(tmp_path):

@@ -8,7 +8,7 @@ from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    piola_stress, random_deformations,
                                    validate_axioms, viscous_stress,
                                    viscous_tangent_field, viscous_tangent_q)
-from viscolab.errors import DomainError
+from viscolab.errors import DomainError, RangeError
 from viscolab.tensor_core import frob, random_rotation, skew, sym
 
 ALL_VISCOSITIES = [ViscosityModel.z0doubleprime(), ViscosityModel.z0prime(),
@@ -25,6 +25,11 @@ def test_model_validation():
         ViscosityModel('zm', m=-1)
     with pytest.raises(ValueError):
         ViscosityModel('nope')
+    # q > 1 and a nonnegative integer m are asked of every kind
+    for bad in (lambda: EnergyModel('w0', 0.5), lambda: ViscosityModel('z0prime', -1),
+                lambda: ViscosityModel('zm', 1.5)):
+        with pytest.raises(RangeError):
+            bad()
 
 
 def test_energy_examples():

@@ -1,14 +1,17 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from viscolab.constitutive import ViscosityModel, random_deformations, viscous_tangent_q
-from viscolab.errors import DegenerateQ, DomainError, SingularMatrix, Unsupported
+from viscolab.errors import (DegenerateQ, DomainError, RangeError,
+                             SingularMatrix, Unsupported)
 from viscolab.tensor_core import sym
-from viscolab.wellposedness import (acoustic_spectrum, check_initial_data,
-                                    closed_form_gamma, fourier_korn_sample,
-                                    rank_one_min, sector_scan)
+from viscolab.wellposedness import (CoercivityConfig, acoustic_spectrum,
+                                    check_initial_data, closed_form_gamma,
+                                    fourier_korn_sample, rank_one_min,
+                                    sector_scan)
 from viscolab.wellposedness import _field_ratio, _gammas, _rank_one_batch
 
 # the map Q -> sym(Q) in the row-major vectorization; its matrix is symmetric
@@ -200,12 +203,12 @@ def test_check_initial_data_rest():
     m = ViscosityModel.z0doubleprime()
     f0 = np.broadcast_to(np.eye(2), (9, 2, 2)).copy()
     q0 = np.zeros((9, 2, 2))
-    rep = check_initial_data(m, f0, q0, resolution=90, refine_iters=3)
+    rep = check_initial_data(m, f0, q0, angular_resolution=90, refine_iters=3)
     assert rep.passed
     assert rep.gamma_sup == pytest.approx(1.0, rel=1e-6)
     assert rep.gamma_inf == pytest.approx(rep.gamma_sup, rel=1e-12)
 
-    single = check_initial_data(m, f0[:1], q0[:1], resolution=90)
+    single = check_initial_data(m, f0[:1], q0[:1], angular_resolution=90)
     assert single.gamma_sup == single.gamma_inf
 
 
@@ -225,7 +228,7 @@ def test_check_initial_data_degenerate_tangent():
     # m >= 1 at rest: the tangent vanishes, so gamma is infinite -> fail
     m = ViscosityModel.zm(1)
     f0 = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-    rep = check_initial_data(m, f0, np.zeros((4, 2, 2)), resolution=16)
+    rep = check_initial_data(m, f0, np.zeros((4, 2, 2)), angular_resolution=16)
     assert not rep.passed
     assert math.isinf(rep.gamma_sup)
 
@@ -262,7 +265,7 @@ def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
                      for f, q in zip(f0, q0)])
     batch = _gammas(_rank_one_batch(mats, resolution, 5)[0])
     assert np.array_equal(batch, single)
-    rep = check_initial_data(model, f0, q0, resolution=resolution)
+    rep = check_initial_data(model, f0, q0, angular_resolution=resolution)
     assert rep.gamma_sup == single.max() and rep.gamma_inf == single.min()
     assert rep.worst_node == int(np.argmax(single))
     assert rep.nodes_checked == len(f0)
@@ -291,3 +294,32 @@ def test_gamma_dominated_by_closed_form(model):
         q = rng.standard_normal((2, 2))
         gamma = rank_one_min(viscous_tangent_q(model, f, q)).gamma_est
         assert gamma <= closed_form_gamma(model, f, q) * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("check, key", [
+    (lambda: rank_one_min(SYM2, angular_resolution=7), 'angular_resolution'),
+    (lambda: rank_one_min(SYM2, refine_iters=-1), 'refine_iters'),
+    (lambda: check_initial_data(ViscosityModel.z0prime(), np.eye(2)[None],
+                                np.zeros((1, 2, 2)), refine_iters=-1),
+     'refine_iters'),
+    (lambda: sector_scan(SYM2, 2), 'num_directions'),
+    (lambda: fourier_korn_sample(SYM2, 0, 2, seed=0), 'num_fields'),
+    (lambda: fourier_korn_sample(SYM2, 3, 0, seed=0), 'max_modes'),
+    (lambda: fourier_korn_sample(SYM2, 3, 2, seed=-1), 'seed'),
+], ids=['angular_resolution', 'refine_iters', 'check_refine_iters',
+        'num_directions', 'num_fields', 'max_modes', 'seed'])
+def test_knobs_are_checked_by_coercivity_config(check, key):
+    # a negative refine_iters once ran no golden-section round, and a
+    # negative seed failed inside numpy; both are now RangeErrors
+    with pytest.raises(RangeError) as info:
+        check()
+    assert info.value.key == key
+    assert isinstance(info.value, ValueError)
+
+
+def test_searches_default_to_coercivity_config():
+    defaults = CoercivityConfig(2)
+    for func in (rank_one_min, check_initial_data):
+        params = inspect.signature(func).parameters
+        for key in ('angular_resolution', 'refine_iters'):
+            assert params[key].default == getattr(defaults, key)
