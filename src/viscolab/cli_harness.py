@@ -128,10 +128,10 @@ def _validate(values):
     need('levels', values['levels'] >= 2, "needs at least 2 levels")
     if values['fine_cells'] is not None:
         need('fine_cells', values['fine_cells'] >= 4, "must be at least 4")
-    if values['spatial_dt'] is not None:
-        need('spatial_dt', values['spatial_dt'] > 0.0, "must be positive")
-    if values['conv_t_end'] is not None:
-        need('conv_t_end', values['conv_t_end'] > 0.0, "must be positive")
+    for key in ('spatial_dt', 'conv_t_end'):
+        if values[key] is not None:
+            need(key, values[key] > 0.0, "must be positive")
+            need(key, math.isfinite(values[key]), "must be finite")
     nn = values['dim'] * values['dim']
     for key in ('f0', 'q0'):
         if values[key] is not None:

@@ -10,9 +10,10 @@ and the viscous operator is G_I^T blockdiag(M) G_I, so the
 summation-by-parts pair holds by construction.  That operator is
 assembled on a pattern fixed by the grid (see _operator_pattern): the
 per-cell gradient D is read from G's rows, each cell contributes
-D^T M_c D, and a cached scatter adds those local entries into CSR slots
-built once per grid.  Time stepping is
-semi-implicit: the elastic stress is explicit, the viscous stress is
+D^T M_c D, and a cached scatter adds those local entries into the slots
+of a canonical (column-sorted) CSR pattern built once per grid, whose
+read-only indices and indptr every assembled matrix shares.  Time stepping
+is semi-implicit: the elastic stress is explicit, the viscous stress is
 linearized around the frozen tangent D_Q Z and refrozen in a short loop
 inside each step.  That loop is Newton's method: with the tangent frozen
 at the current iterate, the shifted operator is the exact Jacobian of the
@@ -127,7 +128,8 @@ def whole_steps(t_end, dt):
 class SolverConfig:
     """Time step, Newton-loop and CG controls and the determinant floor, and
     the one owner of their defaults and ranges: RangeError names the first key
-    out of range (positivity, whole steps, picard_max, save_every)."""
+    out of range (positivity, a finite dt, whole steps, picard_max,
+    save_every)."""
 
     dt: float
     t_end: float
@@ -141,6 +143,8 @@ class SolverConfig:
         for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
             if not getattr(self, key) > 0.0:
                 raise RangeError(key, "must be positive")
+        if not math.isfinite(self.dt):
+            raise RangeError('dt', "must be finite")
         if whole_steps(self.t_end, self.dt) is None:
             raise RangeError('t_end',
                              f"must be a whole number of steps dt = {self.dt!r}")
@@ -243,29 +247,23 @@ class OperatorPattern:
     """The grid-fixed part of the interior viscous operator.
 
     d is the per-cell gradient (dim^2 x 2^dim dim) on the cell's local dofs
-    (corner, component), corner-major.  indices/indptr are the CSR pattern
-    of G_I^T blockdiag(M) G_I.  Each row holds its diagonal first and then
-    its other columns in descending order: the order in which scipy's sum of
-    a sparse product and a sparse identity left them, so matrix-vector
-    products in CG sum as they did when the operator was assembled that way
-    (1D runs reproduce bit for bit).  Each block (first cell, lo, hi, slots)
-    covers SCATTER_BLOCK cells whose local entries (cell, a, b) land in the
-    CSR range [lo, hi): slots holds slot - lo, or hi - lo (a trash slot)
-    where a or b is a clamped dof.
+    (corner, component), corner-major.  indices/indptr are the canonical
+    CSR pattern of G_I^T blockdiag(M) G_I (each row's columns strictly
+    ascending), and diag holds the slot of each row's diagonal.  Each block
+    (first cell, lo, hi, slots) covers SCATTER_BLOCK cells whose local
+    entries (cell, a, b) land in the CSR range [lo, hi): slots holds
+    slot - lo, or hi - lo (a trash slot) where a or b is a clamped dof.
     """
 
     d: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    diag: np.ndarray
     blocks: tuple
 
     @property
     def size(self):
         return self.indptr.size - 1
-
-    @property
-    def diag(self):
-        return self.indptr[:-1]
 
 
 @lru_cache(maxsize=8)
@@ -275,10 +273,11 @@ def _operator_pattern(dim, cells):
     Row (i, r) of the interior operator couples interior node i, component
     r, to every component s of the interior nodes i + o, o in {-1, 0, 1}^dim.
     Row-major numbering orders those columns as the stencil entries (o, s)
-    lexicographically, so a column's place in its row follows from counting
-    in-domain entries, and a local entry between corners alpha and beta of
-    a cell is the stencil entry (beta - alpha, s).  The per-cell tables are
-    built one block of SCATTER_BLOCK cells at a time.
+    lexicographically, so each row is stored in that order (canonical CSR),
+    a column's slot counts the in-domain entries before it, and a local
+    entry between corners alpha and beta of a cell is the stencil entry
+    (beta - alpha, s).  The per-cell tables are built one block of
+    SCATTER_BLOCK cells at a time.
     """
     n = dim
     g, _, _, dofs = clamped_gradient(dim, cells)
@@ -297,21 +296,16 @@ def _operator_pattern(dim, cells):
         nbr = inner[:, ax, None] + offsets[:, ax]
         inside &= (nbr >= 0) & (nbr < m)
     valid = np.repeat(np.repeat(inside, n, axis=1), n, axis=0)
-    count = valid.sum(axis=1, dtype=np.int32)
-    indptr = np.zeros(count.size + 1, dtype=np.int32)
-    np.cumsum(count, out=indptr[1:])
-    rows = np.arange(count.size, dtype=np.int32)
-    centre = (offsets.shape[0] // 2) * n + rows % n
-    # place in the row: in-domain entries after (o, s), i.e. descending
-    # order, then the diagonal moved to the front
-    slot_of = count[:, None] - np.cumsum(valid, axis=1, dtype=np.int32)
-    slot_of += slot_of < slot_of[rows, centre][:, None]
-    slot_of[rows, centre] = 0
-    slot_of += indptr[:-1, None]
+    indptr = np.zeros(valid.shape[0] + 1, dtype=np.int32)
+    np.cumsum(valid.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    rows = np.arange(valid.shape[0], dtype=np.int32)
+    # slot of (o, s): its row's start plus the in-domain entries before it
+    slot_of = np.cumsum(valid, axis=1, dtype=np.int32)
+    slot_of += indptr[:-1, None] - 1
     shift = (np.repeat(offsets @ m ** np.arange(dim - 1, -1, -1), n) * n
              + np.tile(np.arange(n), offsets.shape[0])).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[slot_of[valid]] = ((rows - rows % n)[:, None] + shift)[valid]
+    indices = ((rows - rows % n)[:, None] + shift)[valid]
+    diag = slot_of[rows, (offsets.shape[0] // 2) * n + rows % n]
 
     # local dofs of every cell and the stencil entry of each (a, b) pair
     lower = np.stack(np.unravel_index(np.arange(cells ** dim), (cells,) * dim),
@@ -336,8 +330,8 @@ def _operator_pattern(dim, cells):
         slots = np.where(kept, slot - lo, hi - lo).astype(np.int32)
         _read_only(slots)
         blocks.append((first, lo, hi, slots))
-    pattern = OperatorPattern(d, indices, indptr, tuple(blocks))
-    _read_only(pattern.d, pattern.indices, pattern.indptr)
+    pattern = OperatorPattern(d, indices, indptr, diag, tuple(blocks))
+    _read_only(pattern.d, pattern.indices, pattern.indptr, pattern.diag)
     return pattern
 
 
@@ -388,10 +382,8 @@ class ViscousOperator:
         return -stress_divergence(self.grid, _apply_tangent(self.grid, self.m_cells, g))
 
     def interior_matrix(self, shift=0.0):
-        """shift I + G_I^T blockdiag(M) G_I as a new CSR matrix.  Its indices
-        are the grid's cached pattern, read-only and unsorted (diagonal
-        first): call .copy() before sort_indices() or any other in-place
-        reordering."""
+        """shift I + G_I^T blockdiag(M) G_I as a new canonical CSR matrix
+        that shares the grid's cached, read-only indices and indptr."""
         pat = _operator_pattern(self.grid.dim, self.grid.cells)
         k = self.grid.dim ** 2
         m = self.m_cells.reshape(-1, k, k)
@@ -480,10 +472,10 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         rhs_fixed = rhs_fixed + forcing(state.time + dt, grid)
 
     v_k = state.v
-    grad_vk = gradient_field(grid, v_k)
-    m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
     first_inc = None
-    for it in range(cfg.picard_max):
+    for _ in range(cfg.picard_max):
+        grad_vk = gradient_field(grid, v_k)
+        m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
         corr = viscous_stress(model.viscosity, f_cells, grad_vk) \
             - _apply_tangent(grid, m_k, grad_vk)
         rhs = rhs_fixed + stress_divergence(grid, corr)
@@ -500,9 +492,6 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         v_k = v_new
         if inc <= cfg.picard_tol or model.viscosity.linear_in_q:
             break
-        if it + 1 < cfg.picard_max:
-            grad_vk = gradient_field(grid, v_k)
-            m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
     dissipated = None
     if forcing is None and state.dissipated is not None:
         dv = v_k - state.v

@@ -395,10 +395,9 @@ def check_initial_data(model, grid_f0, grid_q0,
     bad = np.nonzero(dets <= 0.0)[0]
     if bad.size:
         raise DomainError(f"det F0 = {dets[bad[0]]:.3e} <= 0 at node {int(bad[0])}")
-    first, inverse = {}, np.empty(f0.shape[0], dtype=int)
-    for i in range(f0.shape[0]):
-        inverse[i] = first.setdefault((f0[i].tobytes(), q0[i].tobytes()), i)
-    nodes = np.unique(inverse)
+    pairs = np.concatenate((f0, q0), axis=1).reshape(f0.shape[0], -1)
+    _, nodes, inverse = np.unique(pairs, axis=0, return_index=True,
+                                  return_inverse=True)
     try:
         mats = viscous_tangent_field(model, f0[nodes], q0[nodes])
     except SingularMatrix as exc:
@@ -406,13 +405,12 @@ def check_initial_data(model, grid_f0, grid_q0,
         raise SingularMatrix(f"node {i}: det F0 = {dets[i]:.3e}") from exc
     finite = np.all(np.isfinite(mats), axis=(1, 2))
     if not np.all(finite):
-        raise ValueError(f"non-finite tangent at node {nodes[np.argmin(finite)]}")
+        raise ValueError(f"non-finite tangent at node {nodes[~finite].min()}")
     n = f0.shape[-1]
     ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), angular_resolution,
                             refine_iters)[0]
-    gammas = np.empty(f0.shape[0])
-    gammas[nodes] = _gammas(ratio)
-    gammas = gammas[inverse]
+    # numpy 2.0.0 returns inverse as a column for axis=0
+    gammas = _gammas(ratio)[inverse.reshape(-1)]
     worst = int(np.argmax(gammas))
     return UniformGammaReport(float(np.max(gammas)), float(np.min(gammas)),
                               worst, int(f0.shape[0]))

@@ -548,6 +548,18 @@ def test_t_end_must_be_whole_steps(tmp_path, capsys):
     assert spec.dt == 0.3 and spec.t_end == 1.0
 
 
+@pytest.mark.parametrize("command,key", [("simulate", "dt"), ("convergence", "dt"),
+                                         ("convergence", "spatial_dt"),
+                                         ("convergence", "conv_t_end")])
+def test_infinite_step_or_window_names_its_key(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(f"command = {command}\n{key} = inf\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"viscolab: key '{key}': must be finite\n"
+    assert not out.exists()
+
+
 def test_cmd_convergence_small_case(tmp_path):
     spec = spec_from(tmp_path,
                      "command = convergence\ndim = 1\ncells = 16\nlevels = 2\n"

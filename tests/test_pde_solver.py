@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
@@ -297,7 +298,7 @@ def test_interior_matrix_matches_triple_product(dim, cells):
     g = build_grid(dim, cells)
     k = dim * dim
     m = np.random.default_rng(48).standard_normal(g.cell_shape + (k, k))
-    a = ViscousOperator(g, m).interior_matrix().sorted_indices()
+    a = ViscousOperator(g, m).interior_matrix()
     oracle = triple_product(g, m)
     assert np.array_equal(a.indptr, oracle.indptr)
     assert np.array_equal(a.indices, oracle.indices)
@@ -309,17 +310,16 @@ def test_interior_matrix_matches_triple_product(dim, cells):
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 6), (2, 40), (3, 6)])
-def test_interior_matrix_row_order(dim, cells):
-    # CG sums each row of a product in stored order; the diagonal first and
-    # then strictly descending columns keep 1D runs bit-reproducible
+def test_interior_matrix_rows_ascending(dim, cells):
+    # every row's columns strictly ascend, and diag is each row's diagonal slot
     g = build_grid(dim, cells)
     k = dim * dim
     m = np.random.default_rng(48).standard_normal(g.cell_shape + (k, k))
     a = ViscousOperator(g, m).interior_matrix()
-    for row in range(a.shape[0]):
-        cols = a.indices[a.indptr[row]:a.indptr[row + 1]]
-        assert cols[0] == row
-        assert np.all(np.diff(cols[1:]) < 0)
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    assert np.all(np.diff(a.indices)[np.diff(row_of) == 0] > 0)
+    assert np.array_equal(a.indices[_operator_pattern(dim, cells).diag],
+                          np.arange(a.shape[0]))
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 6), (2, 6), (3, 4)])
@@ -339,20 +339,22 @@ def test_interior_matrix_shift_adds_at_diagonal(dim, cells):
     assert np.array_equal(shifted.data, expected)
 
 
-def test_interior_matrix_pattern_is_shared_read_only_and_unsorted():
-    # every assembly reuses the grid's pattern; reordering needs a copy
+def test_interior_matrix_pattern_is_shared_read_only_and_canonical():
+    # every assembly reuses the grid's pattern, and scipy routines that want
+    # a canonical matrix take it as it is, with no copy
     for dim in (1, 2, 3):
         g = build_grid(dim, 6)
         op = ViscousOperator(g, identity_tangent(g))
         a, b = op.interior_matrix(2.0), op.interior_matrix()
+        assert a.has_canonical_format
         for name in ('indices', 'indptr'):
             assert not getattr(a, name).flags.writeable
             assert np.shares_memory(getattr(a, name), getattr(b, name))
-        assert not a.has_sorted_indices
-        c = a.copy()
-        c.sort_indices()
-        assert c.has_sorted_indices
-        assert np.array_equal(c.toarray(), a.toarray())
+        low = spla.eigsh(a, k=1, sigma=0.0, return_eigenvectors=False)
+        assert np.isclose(low[0], np.linalg.eigvalsh(a.toarray())[0])
+        a.sort_indices()
+        assert a.has_sorted_indices
+        assert np.shares_memory(a.indices, b.indices)
 
 
 def test_cached_grid_arrays_read_only():
@@ -360,7 +362,7 @@ def test_cached_grid_arrays_read_only():
     pat = _operator_pattern(2, 6)
     arrays = [g.data, g.indices, g.indptr, g_i.data, g_i.indices, g_i.indptr,
               g_it.data, g_it.indices, g_it.indptr, dofs, pat.d, pat.indices,
-              pat.indptr] + [slots for *_, slots in pat.blocks]
+              pat.indptr, pat.diag] + [slots for *_, slots in pat.blocks]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.reshape(-1)[0] = 0
@@ -448,10 +450,13 @@ def test_solver_config_rejects_partial_last_step():
         SolverConfig(dt=3e-3, t_end=1e-2)
     with pytest.raises(InvalidConfig):
         SolverConfig(dt=1e-3, t_end=5e-4)
-    # no step at all: an infinite t_end, or a dt that swallows t_end
-    for dt, t_end in ((1e-3, np.inf), (np.inf, 1.0)):
-        with pytest.raises(InvalidConfig, match="whole number of steps"):
-            SolverConfig(dt=dt, t_end=t_end)
+    # no step at all: an infinite t_end, or an infinite dt, which is
+    # rejected as such before the whole-steps check
+    with pytest.raises(InvalidConfig, match="whole number of steps"):
+        SolverConfig(dt=1e-3, t_end=np.inf)
+    with pytest.raises(InvalidConfig, match="must be finite") as err:
+        SolverConfig(dt=np.inf, t_end=1.0)
+    assert err.value.key == 'dt'
     # decimal roundoff in t_end / dt is not a partial step
     g = build_grid(1, 8)
     traj = run(W0_Z0DP, g, SolverConfig(dt=0.1, t_end=0.3), rest_state(g))

@@ -220,6 +220,8 @@ def test_check_initial_data_detects_inversion():
         check_initial_data(m, f0, np.zeros((5, 2, 2)))
     q0 = np.zeros((5, 2, 2))
     q0[2, 0, 1] = np.nan
+    # node 4's pair sorts before node 2's; the lowest cell is still named
+    q0[4] = [[-1.0, 0.0], [0.0, np.nan]]
     with pytest.raises(ValueError, match="node 2"):
         check_initial_data(ViscosityModel.zm(1), np.abs(f0), q0)
 
