@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SingularMatrix
+from .errors import DomainError, RangeError, SingularMatrix, require_integer
 from .tensor_core import EPS_SINGULAR, frob, rotation_sample, skew, sym
 
 ENERGY_KINDS = ('w0', 'w1', 'w2')
@@ -70,14 +70,13 @@ class ViscosityModel:
     def __post_init__(self):
         if self.kind not in VISCOSITY_KINDS:
             raise RangeError('viscosity', f"must be one of {VISCOSITY_KINDS}")
+        require_integer('viscosity_m', self.m)
         if not self.m >= 0:
             raise RangeError('viscosity_m', "must be nonnegative")
-        if not float(self.m).is_integer():
-            raise RangeError('viscosity_m', "must be an integer")
 
     @classmethod
     def zm(cls, m):
-        return cls('zm', int(m))
+        return cls('zm', m)
 
     @classmethod
     def z0prime(cls):

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class ViscolabError(Exception):
     """Base class for all viscolab-specific errors."""
@@ -63,3 +65,9 @@ class RangeError(ParseError, InvalidConfig, ValueError):
     def __init__(self, key, message):
         self.key = key
         super().__init__(f"key '{key}': {message}")
+
+
+def require_integer(key, value):
+    """Raise RangeError(key) unless value is a Python or numpy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise RangeError(key, "must be an integer")

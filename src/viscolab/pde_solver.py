@@ -1,24 +1,24 @@
 """Structured-grid discretization of the viscoelastic momentum balance.
 
-The domain is [0,1]^dim (dim 1-3) with clamped boundary nodes.  Every
-discrete operator is built from one sparse matrix, the cell gradient G
-(see clamped_gradient): it maps nodal vectors to gradients at cell
-centers by averaged corner differences, the Kronecker product of a 1D
-difference along one axis with 1D averages along the others.  The
-gradient is G u, the stress divergence is -G_I^T P on the interior dofs,
-and the viscous operator is G_I^T blockdiag(M) G_I, so the
-summation-by-parts pair holds by construction.  That operator is
-assembled on a pattern fixed by the grid (see _operator_pattern): the
-per-cell gradient D is read from G's rows, each cell contributes
-D^T M_c D, and a cached scatter adds those local entries into the slots
-of a canonical (column-sorted) CSR pattern built once per grid, whose
-read-only indices and indptr every assembled matrix shares.  Time stepping
-is semi-implicit: the elastic stress is explicit, the viscous stress is
-linearized around the frozen tangent D_Q Z and refrozen in a short loop
-inside each step.  That loop is Newton's method: with the tangent frozen
-at the current iterate, the shifted operator is the exact Jacobian of the
-step residual, so the increments of a converging step fall off
-quadratically (the picard_* keys, PicardDivergence and the
+The domain is [0,1]^dim (dim 1-3) with clamped boundary nodes.  One cell
+table (see _cell_table) states the grid's connectivity: each cell's corner
+dofs and the per-cell gradient D on them, the averaged corner difference.
+Every discrete operator is built from one sparse matrix, the cell gradient
+G (see clamped_gradient), which places D on each cell's dofs and so maps
+nodal vectors to gradients at cell centers.  The gradient is G u, the
+stress divergence is -G_I^T P on the interior dofs, and the viscous
+operator is G_I^T blockdiag(M) G_I, so the summation-by-parts pair holds by
+construction.  That operator is assembled on a pattern fixed by the grid
+and built from the same table (see _operator_pattern): each cell
+contributes D^T M_c D, and a cached scatter adds those local entries into
+the slots of a canonical (column-sorted) CSR pattern built once per grid,
+whose read-only indices and indptr every assembled matrix shares.  Time
+stepping is semi-implicit: the elastic stress is explicit, the viscous
+stress is linearized around the frozen tangent D_Q Z and refrozen in a
+short loop inside each step.  That loop is Newton's method: with the
+tangent frozen at the current iterate, the shifted operator is the exact
+Jacobian of the step residual, so the increments of a converging step fall
+off quadratically (the picard_* keys, PicardDivergence and the
 'picard_divergence' termination keep their names).  The frozen tangent is
 symmetric positive semidefinite, so every shifted operator alpha I + L is
 symmetric positive definite, and solve_shifted, the one linear solve of the
@@ -27,7 +27,6 @@ runs conjugate gradients; a solve that does not converge ends the run as
 'linear_solver_failure'.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -39,7 +38,8 @@ import scipy.sparse.linalg as spla
 from .constitutive import (dissipation_density, piola_stress, viscous_stress,
                            viscous_tangent_field)
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
-                     LinearSolveFailure, PicardDivergence, RangeError)
+                     LinearSolveFailure, PicardDivergence, RangeError,
+                     require_integer)
 
 CLAMP_TOL = 1e-10
 STEP_TOL = 1e-9
@@ -92,8 +92,10 @@ class Grid:
 
 
 def build_grid(dim, cells):
+    require_integer('dim', dim)
     if dim not in (1, 2, 3):
         raise RangeError('dim', "must be 1, 2 or 3")
+    require_integer('cells', cells)
     if cells < 4:
         raise RangeError('cells', "must be at least 4")
     return Grid(dim, cells)
@@ -128,8 +130,8 @@ def whole_steps(t_end, dt):
 class SolverConfig:
     """Time step, Newton-loop and CG controls and the determinant floor, and
     the one owner of their defaults and ranges: RangeError names the first key
-    out of range (positivity, a finite dt, whole steps, picard_max,
-    save_every)."""
+    out of range (positivity, a finite dt, whole steps, then picard_max and
+    save_every, each an integer of at least 1)."""
 
     dt: float
     t_end: float
@@ -148,10 +150,10 @@ class SolverConfig:
         if whole_steps(self.t_end, self.dt) is None:
             raise RangeError('t_end',
                              f"must be a whole number of steps dt = {self.dt!r}")
-        if self.picard_max < 1:
-            raise RangeError('picard_max', "must be at least 1")
-        if self.save_every < 1:
-            raise RangeError('save_every', "must be at least 1")
+        for key in ('picard_max', 'save_every'):
+            require_integer(key, getattr(self, key))
+            if getattr(self, key) < 1:
+                raise RangeError(key, "must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,22 @@ def init_state(grid, xi0, xi1, det_floor):
     return FieldState(0.0, xi, v, 0.0)
 
 
-def _kron_all(factors):
-    return reduce(lambda a, b: sp.kron(a, b, format='csr'), factors)
+def _cell_table(dim, cells):
+    """The grid's connectivity (corners, local, d), the source of G and of
+    the operator pattern: corners are a cell's 2^dim corner offsets in
+    lexicographic order, local[cell] the cell's row-major nodal dofs
+    (corner, component), so each row ascends, and d (dim^2 x 2^dim dim) the
+    per-cell gradient on them, the averaged corner difference: row (r, c)
+    holds -/+ cells / 2^(dim-1) on component r of the corners at offset 0/1
+    along axis c."""
+    comp = np.arange(dim)
+    corners = np.indices((2,) * dim).reshape(dim, -1).T
+    lower = np.indices((cells,) * dim).reshape(dim, -1).T
+    nodes = (lower[:, None] + corners) @ (cells + 1) ** np.arange(dim - 1, -1, -1)
+    local = (nodes[..., None] * dim + comp).reshape(lower.shape[0], -1)
+    d = np.zeros((dim, dim, corners.shape[0], dim))
+    d[comp, :, :, comp] = (2 * corners.T - 1) * cells / 2 ** (dim - 1)
+    return corners, local, d.reshape(dim * dim, -1)
 
 
 @lru_cache(maxsize=8)
@@ -212,24 +228,21 @@ def clamped_gradient(dim, cells):
     """The cell gradient G as sparse matrices, built once per grid.
 
     G maps row-major nodal dofs (node, r) to row-major cell gradients
-    (cell, r, c).  Its scalar part along axis c is the Kronecker product of
-    the 1D difference on axis c with the 1D average on every other axis,
-    i.e. the averaged corner difference.  Returns (G, G_I, G_I^T, dofs),
-    where dofs are the interior (unclamped) nodal dofs and G_I = G[:, dofs].
-    The returned arrays are shared between callers and read-only.
+    (cell, r, c): row (cell, r, c) holds the nonzeros of row (r, c) of the
+    per-cell gradient d of _cell_table, placed on the cell's local dofs.
+    Returns (G, G_I, G_I^T, dofs), where dofs are the interior (unclamped)
+    nodal dofs and G_I = G[:, dofs].  The returned arrays are shared between
+    callers and read-only.
     """
-    # 1D factors on cells + 1 nodes: difference quotient and midpoint average
-    lo = sp.eye(cells, cells + 1, format='csr')
-    hi = sp.eye(cells, cells + 1, k=1, format='csr')
-    diff, avg = (hi - lo) * cells, 0.5 * (lo + hi)
     n = dim
-    eye_r = np.arange(n)
-    g = sum(sp.kron(_kron_all([diff if a == c else avg for a in range(n)]),
-                    sp.csr_matrix((np.ones(n), (eye_r * n + c, eye_r)),
-                                  shape=(n * n, n)), format='csr')
-            for c in range(n))
+    _, local, d = _cell_table(dim, cells)
+    cols = np.nonzero(d)[1].reshape(d.shape[0], -1)
+    indices = local[:, cols].reshape(-1).astype(np.int32)
+    indptr = np.arange(0, indices.size + 1, cols.shape[1], dtype=np.int32)
+    g = sp.csr_matrix((np.tile(d[d != 0], local.shape[0]), indices, indptr),
+                      shape=(indptr.size - 1, n * (cells + 1) ** dim))
     interior = np.nonzero(~Grid(dim, cells).boundary_mask().reshape(-1))[0]
-    dofs = (interior[:, None] * n + eye_r).reshape(-1)
+    dofs = (interior[:, None] * n + np.arange(n)).reshape(-1)
     g_i = g[:, dofs].tocsr()
     g_it = g_i.T.tocsr()
     _read_only(g.data, g.indices, g.indptr, g_i.data, g_i.indices, g_i.indptr,
@@ -268,61 +281,47 @@ class OperatorPattern:
 
 @lru_cache(maxsize=8)
 def _operator_pattern(dim, cells):
-    """Build the OperatorPattern of a grid once, from the stencil alone.
+    """Build the OperatorPattern of a grid once, from its cell table.
 
     Row (i, r) of the interior operator couples interior node i, component
     r, to every component s of the interior nodes i + o, o in {-1, 0, 1}^dim.
     Row-major numbering orders those columns as the stencil entries (o, s)
-    lexicographically, so each row is stored in that order (canonical CSR),
-    a column's slot counts the in-domain entries before it, and a local
+    lexicographically, so each row is stored in that order (canonical CSR)
+    and a column's slot counts the in-domain entries before it.  The local
     entry between corners alpha and beta of a cell is the stencil entry
-    (beta - alpha, s).  The per-cell tables are built one block of
-    SCATTER_BLOCK cells at a time.
+    (beta - alpha, s), so every cell's local pairs fill in the columns.  The
+    per-cell tables are built one block of SCATTER_BLOCK cells at a time.
     """
     n = dim
-    g, _, _, dofs = clamped_gradient(dim, cells)
-    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    corners, local, d = _cell_table(dim, cells)
+    dofs = clamped_gradient(dim, cells)[3]
+    interior = np.full(n * (cells + 1) ** dim, -1)
+    interior[dofs] = np.arange(dofs.size)
+    loc = interior[local]
+    # stencil entry (beta - alpha, s) of each local pair (a, b)
+    corner_of = np.repeat(corners, n, axis=0)
+    step = corner_of[None, :, :] - corner_of[:, None, :] + 1
+    entry = ((step @ 3 ** np.arange(dim - 1, -1, -1)) * n
+             + np.arange(loc.shape[1]) % n)
 
-    def ravel(points, extent):
-        return np.ravel_multi_index(tuple(np.moveaxis(points, -1, 0)),
-                                    (extent,) * dim)
-
-    # slot of every stencil entry (o, s) of every interior row (i, r)
-    m = cells - 1
-    inner = np.stack(np.unravel_index(np.arange(m ** dim), (m,) * dim), axis=-1)
-    inside = np.ones((inner.shape[0], offsets.shape[0]), dtype=bool)
-    for ax in range(dim):
-        nbr = inner[:, ax, None] + offsets[:, ax]
-        inside &= (nbr >= 0) & (nbr < m)
-    valid = np.repeat(np.repeat(inside, n, axis=1), n, axis=0)
-    indptr = np.zeros(valid.shape[0] + 1, dtype=np.int32)
+    # column of every stencil entry (o, s) of every interior row (i, r), -1
+    # where clamped; the local pairs of clamped rows (-1) land in a trash row
+    col_of = np.full((dofs.size + 1, 3 ** dim * n), -1, dtype=np.int32)
+    col_of[loc[:, :, None], entry] = loc[:, None, :]
+    valid = col_of[:-1] >= 0
+    indptr = np.zeros(dofs.size + 1, dtype=np.int32)
     np.cumsum(valid.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    rows = np.arange(valid.shape[0], dtype=np.int32)
     # slot of (o, s): its row's start plus the in-domain entries before it
     slot_of = np.cumsum(valid, axis=1, dtype=np.int32)
     slot_of += indptr[:-1, None] - 1
-    shift = (np.repeat(offsets @ m ** np.arange(dim - 1, -1, -1), n) * n
-             + np.tile(np.arange(n), offsets.shape[0])).astype(np.int32)
-    indices = ((rows - rows % n)[:, None] + shift)[valid]
-    diag = slot_of[rows, (offsets.shape[0] // 2) * n + rows % n]
-
-    # local dofs of every cell and the stencil entry of each (a, b) pair
-    lower = np.stack(np.unravel_index(np.arange(cells ** dim), (cells,) * dim),
-                     axis=-1)
-    local = (ravel(lower[:, None, :] + corners, cells + 1)[..., None] * n
-             + np.arange(n)).reshape(lower.shape[0], -1)
-    d = g[:n * n][:, local[0]].toarray()
-    interior = np.full(g.shape[1], -1)
-    interior[dofs] = np.arange(dofs.size)
-    corner_of = corners[np.repeat(np.arange(corners.shape[0]), n)]
-    step = corner_of[None, :, :] - corner_of[:, None, :]
-    entry = ravel(step + 1, 3) * n + np.tile(np.arange(n), corners.shape[0])
+    indices = col_of[:-1][valid]
+    rows = np.arange(dofs.size)
+    diag = slot_of[rows, (3 ** dim // 2) * n + rows % n]
 
     blocks = []
-    for first in range(0, lower.shape[0], SCATTER_BLOCK):
-        loc = interior[local[first:first + SCATTER_BLOCK]]
-        row, col = loc[:, :, None], loc[:, None, :]
+    for first in range(0, loc.shape[0], SCATTER_BLOCK):
+        part = loc[first:first + SCATTER_BLOCK]
+        row, col = part[:, :, None], part[:, None, :]
         kept = (row >= 0) & (col >= 0)
         slot = slot_of[np.maximum(row, 0), entry]
         hit = slot[kept]

@@ -14,12 +14,12 @@ on row-major vectorized n x n matrices.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (DegenerateQ, DomainError, RangeError, SingularMatrix,
-                     Unsupported)
+                     Unsupported, require_integer)
 from .tensor_core import EPS_SINGULAR, frob
 # viscous_tangent_q stays bound here: perfbench/tracing.py wraps it by this name
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
@@ -30,8 +30,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 @dataclass(frozen=True)
 class CoercivityConfig:
     """Knobs of the coercivity searches on a dim x dim tangent, and the one
-    owner of their defaults and ranges: RangeError names the first knob out
-    of range.  num_directions needs at least dim + 1 directions."""
+    owner of their defaults and ranges: RangeError names the first knob not
+    an integer, else the first out of range (num_directions >= dim + 1)."""
 
     dim: int
     angular_resolution: int = 360
@@ -42,6 +42,8 @@ class CoercivityConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self)[1:]:      # the six counts after dim
+            require_integer(f.name, getattr(self, f.name))
         if not self.angular_resolution >= 8:
             raise RangeError('angular_resolution', "must be at least 8")
         if not self.refine_iters >= 0:
@@ -334,40 +336,31 @@ def _half_space_modes(dim, max_modes):
     return out
 
 
-def _field_ratio(t4, modes, cos_coef, sin_coef):
-    """Exact Rayleigh ratio of a real trigonometric field on the unit torus.
-
-    The field is sum_k cos_coef[k] cos(2 pi k.x) + sin_coef[k] sin(2 pi k.x);
-    orthogonality turns both integrals into sums over the coefficient set.
-    """
-    num = 0.0
-    den = 0.0
-    for kk, c, s in zip(modes, cos_coef, sin_coef):
-        for a in (c, s):
-            num += np.einsum('i,j,ijkl,k,l->', a, kk, t4, a, kk)
-            den += np.dot(a, a) * np.dot(kk, kk)
-    return num / den
-
-
 def fourier_korn_sample(m, num_fields, max_modes, seed):
     """Minimum Rayleigh ratio over random periodic trigonometric fields.
 
-    Every field ratio is a convex combination of rank-one ratios, so the
-    result can never fall below ratio_min(M) beyond roundoff.
+    By orthogonality, the ratio of sum_k a_k cos(2 pi k.x) + b_k sin(2 pi k.x)
+    on the unit torus is sum_k <M(a_k x k) : a_k x k> + <M(b_k x k) : b_k x k>
+    over sum_k (|a_k|^2 + |b_k|^2) |k|^2, a convex combination of rank-one
+    ratios, so the result never falls below ratio_min(M) beyond roundoff.
     """
     t4 = _tensor4(m)
     n = t4.shape[0]
     CoercivityConfig(n, num_fields=num_fields, max_modes=max_modes, seed=seed)
-    modes = _half_space_modes(n, max_modes)
+    modes = np.array(_half_space_modes(n, max_modes))
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(num_fields):
         count = int(rng.integers(1, min(4, len(modes)) + 1))
         idx = rng.choice(len(modes), size=count, replace=False)
-        sel = [modes[i] for i in idx]
         cos_coef = rng.standard_normal((count, n))
         sin_coef = rng.standard_normal((count, n))
-        worst = min(worst, _field_ratio(t4, sel, cos_coef, sin_coef))
+        # the cos and the sin row of each mode in turn, the mode repeated
+        a = np.stack((cos_coef, sin_coef), axis=1).reshape(-1, n)
+        k = np.repeat(modes[idx], 2, axis=0)
+        num = np.sum(_ratios(np.broadcast_to(t4, (len(a),) + t4.shape), a, k))
+        den = np.sum(np.sum(a * a, axis=1) * np.sum(k * k, axis=1))
+        worst = min(worst, num / den)
     return float(worst)
 
 

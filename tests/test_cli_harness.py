@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import viscolab.pde_solver as pde_solver
-from viscolab.cli_harness import (_rate_table, cmd_check, cmd_convergence,
+from viscolab.cli_harness import (RunSpec, _rate_table, cmd_check, cmd_convergence,
                                   cmd_korn, cmd_simulate, main, parse_config,
                                   validate_vtk, write_vtk_snapshot)
 from viscolab.constitutive import EnergyModel, ViscosityModel
@@ -30,6 +31,22 @@ def read_report(path):
         key, _, val = line.partition(' = ')
         out[key] = val.strip()
     return out
+
+
+def test_readme_key_defaults_match_run_spec():
+    # each `key` value pair of the README's key list, across line breaks; a
+    # value ends at a comma, a semicolon, " (" or " and", so `f0`/`q0` and
+    # the per-dimension convergence defaults are not pairs
+    text = (REPO / 'README.md').read_text(encoding='utf-8')
+    listing = text.split('Selected keys and defaults:', 1)[1].split('\n\n', 1)[0]
+    pairs = re.findall(r'`(\w+)`\s+("[^"]*"|[\w.+-]+)(?=[,;]|\s+\(|\s+and\b)',
+                       listing)
+    defaults = {f.name: f.default for f in fields(RunSpec)}
+    assert len(pairs) >= 20
+    for key, value in pairs:
+        assert key in defaults, key
+        want = defaults[key]
+        assert (value.strip('"') if isinstance(want, str) else float(value)) == want, key
 
 
 def test_parse_minimal_defaults():

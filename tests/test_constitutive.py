@@ -32,6 +32,16 @@ def test_model_validation():
             bad()
 
 
+def test_viscosity_m_must_be_an_integer():
+    # m = 1.0 once passed and then failed inside viscous_stress
+    for bad in (lambda: ViscosityModel('zm', 1.0), lambda: ViscosityModel('zm', 1.5),
+                lambda: ViscosityModel.zm(1.5), lambda: ViscosityModel('z0prime', 0.0)):
+        with pytest.raises(RangeError) as info:
+            bad()
+        assert str(info.value) == "key 'viscosity_m': must be an integer"
+    assert ViscosityModel('zm', np.int64(1)).m == 1
+
+
 def test_energy_examples():
     assert energy(EnergyModel.w0(), np.eye(2)) == 0.0
     # F = diag(2,1): F^T F - Id = diag(3,0), squared norm 9

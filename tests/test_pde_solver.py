@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
                                    viscous_tangent_field)
-from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig)
+from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
+                             RangeError)
 from viscolab.pde_solver import (ExactSolution, SolverConfig,
                                  ViscousOperator, build_grid,
                                  clamped_gradient, gradient_field,
@@ -46,6 +47,15 @@ def test_build_grid_examples():
         build_grid(2, 3)
     with pytest.raises(InvalidConfig):
         build_grid(4, 8)
+
+
+def test_build_grid_keys_must_be_integers():
+    # cells = 6.0 once passed and failed on first use; dim = 2.0 passed
+    for args, key in (((1, 6.0), 'cells'), ((2.0, 8), 'dim'), ((1.5, 8), 'dim')):
+        with pytest.raises(RangeError) as info:
+            build_grid(*args)
+        assert str(info.value) == f"key '{key}': must be an integer"
+    assert build_grid(np.int64(2), np.int64(8)).num_nodes == 81
 
 
 def test_init_state_rest_and_bump():
@@ -277,6 +287,40 @@ def test_semi_implicit_step_dense_oracle():
     assert np.max(np.abs(_interior_vec(g, stepped.v) - v_expected)) <= 1e-10
 
 
+def kronecker_gradient(dim, cells):
+    # oracle: G along axis c is the Kronecker product of the 1D difference
+    # on axis c with the 1D midpoint average on every other axis, embedded
+    # as row (r, c) on component r
+    lo = sp.eye(cells, cells + 1, format='csr')
+    hi = sp.eye(cells, cells + 1, k=1, format='csr')
+    diff, avg = (hi - lo) * cells, 0.5 * (lo + hi)
+    eye_r = np.arange(dim)
+    g = 0
+    for c in range(dim):
+        scalar = diff if c == 0 else avg
+        for a in range(1, dim):
+            scalar = sp.kron(scalar, diff if a == c else avg, format='csr')
+        embed = sp.csr_matrix((np.ones(dim), (eye_r * dim + c, eye_r)),
+                              shape=(dim * dim, dim))
+        g = g + sp.kron(scalar, embed, format='csr')
+    interior = np.nonzero(~build_grid(dim, cells).boundary_mask().reshape(-1))[0]
+    g_i = g[:, (interior[:, None] * dim + eye_r).reshape(-1)].tocsr()
+    return g, g_i, g_i.T.tocsr()
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 4), (1, 512), (2, 4), (2, 40),
+                                       (3, 4), (3, 10)])
+def test_clamped_gradient_matches_kronecker_build(dim, cells):
+    # G, G_I and G_I^T are bit for bit the Kronecker construction
+    for built, oracle in zip(clamped_gradient(dim, cells)[:3],
+                             kronecker_gradient(dim, cells)):
+        assert built.shape == oracle.shape
+        for name in ('data', 'indices', 'indptr'):
+            a, b = getattr(built, name), getattr(oracle, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 def triple_product(grid, m_cells):
     # the operator as the sparse product G_I^T blockdiag(M) G_I
     _, g_i, g_it, _ = clamped_gradient(grid.dim, grid.cells)
@@ -461,6 +505,17 @@ def test_solver_config_rejects_partial_last_step():
     g = build_grid(1, 8)
     traj = run(W0_Z0DP, g, SolverConfig(dt=0.1, t_end=0.3), rest_state(g))
     assert len(traj.states) == 4
+
+
+@pytest.mark.parametrize("key", ["picard_max", "save_every"])
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_solver_config_counts_must_be_integers(key, value):
+    # save_every = 2.5 once stored t = 0, 0.005, 0.01, and picard_max = 2.5
+    # failed in the first step
+    with pytest.raises(RangeError) as info:
+        SolverConfig(dt=1e-3, t_end=1e-2, **{key: value})
+    assert str(info.value) == f"key '{key}': must be an integer"
+    assert SolverConfig(dt=1e-3, t_end=1e-2, **{key: np.int64(2)})
 
 
 @pytest.mark.parametrize("key", ["picard_tol", "linear_tol"])

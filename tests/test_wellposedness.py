@@ -1,5 +1,6 @@
 import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from viscolab.wellposedness import (CoercivityConfig, acoustic_spectrum,
                                     check_initial_data, closed_form_gamma,
                                     fourier_korn_sample, rank_one_min,
                                     sector_scan)
-from viscolab.wellposedness import _field_ratio, _gammas, _rank_one_batch
+from viscolab.wellposedness import _gammas, _half_space_modes, _rank_one_batch, _ratios
 
 # the map Q -> sym(Q) in the row-major vectorization; its matrix is symmetric
 SYM2 = sym(np.eye(4).reshape(4, 2, 2)).reshape(4, 4)
@@ -186,13 +187,45 @@ def test_fourier_korn_sym_bounds():
     assert 0.5 - 1e-9 <= worst <= 1.0 + 1e-12
 
 
+def _field_ratio(t4, modes, cos_coef, sin_coef):
+    # oracle: the field ratio summed mode by mode, cos term before sin term
+    num = den = 0.0
+    for kk, c, s in zip(modes, cos_coef, sin_coef):
+        for a in (c, s):
+            num += np.einsum('i,j,ijkl,k,l->', a, kk, t4, a, kk)
+            den += np.dot(a, a) * np.dot(kk, kk)
+    return num / den
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fourier_korn_sample_matches_mode_loop(dim):
+    # replay the sample's draws (mode count, modes, cos and sin coefficients
+    # per field) through the mode-by-mode oracle
+    rng = np.random.default_rng(40 + dim)
+    m = rng.standard_normal((dim * dim, dim * dim))
+    m = m @ m.T
+    t4 = m.reshape((dim,) * 4)
+    modes = _half_space_modes(dim, 3)
+    draws = np.random.default_rng(9)
+    expected = np.inf
+    for _ in range(30):
+        count = int(draws.integers(1, min(4, len(modes)) + 1))
+        idx = draws.choice(len(modes), size=count, replace=False)
+        cos_coef = draws.standard_normal((count, dim))
+        sin_coef = draws.standard_normal((count, dim))
+        expected = min(expected, _field_ratio(t4, [modes[i] for i in idx],
+                                              cos_coef, sin_coef))
+    assert fourier_korn_sample(m, 30, 3, seed=9) == pytest.approx(expected, rel=1e-14)
+
+
 def test_fourier_single_mode_matches_rank_one():
+    # a single-mode field's ratio, as fourier_korn_sample forms it
     rng = np.random.default_rng(33)
     t4 = SYM2.reshape(2, 2, 2, 2)
     for _ in range(10):
         a = rng.standard_normal(2)
         k = np.array([2.0, -1.0])
-        ratio = _field_ratio(t4, [k], np.zeros((1, 2)), a[None, :])
+        ratio = _ratios(t4[None], a[None], k[None])[0] / ((a @ a) * (k @ k))
         khat = k / np.linalg.norm(k)
         expected = float(np.einsum('i,j,ijkl,k,l->', a, khat, t4, a, khat)) / (a @ a)
         assert ratio == pytest.approx(expected, abs=1e-10)
@@ -301,6 +334,7 @@ def test_gamma_dominated_by_closed_form(model):
 @pytest.mark.parametrize("check, key", [
     (lambda: rank_one_min(SYM2, angular_resolution=7), 'angular_resolution'),
     (lambda: rank_one_min(SYM2, refine_iters=-1), 'refine_iters'),
+    (lambda: rank_one_min(SYM2, angular_resolution=10.5), 'angular_resolution'),
     (lambda: check_initial_data(ViscosityModel.z0prime(), np.eye(2)[None],
                                 np.zeros((1, 2, 2)), refine_iters=-1),
      'refine_iters'),
@@ -308,7 +342,8 @@ def test_gamma_dominated_by_closed_form(model):
     (lambda: fourier_korn_sample(SYM2, 0, 2, seed=0), 'num_fields'),
     (lambda: fourier_korn_sample(SYM2, 3, 0, seed=0), 'max_modes'),
     (lambda: fourier_korn_sample(SYM2, 3, 2, seed=-1), 'seed'),
-], ids=['angular_resolution', 'refine_iters', 'check_refine_iters',
+], ids=['angular_resolution', 'refine_iters', 'integer_angular_resolution',
+        'check_refine_iters',
         'num_directions', 'num_fields', 'max_modes', 'seed'])
 def test_knobs_are_checked_by_coercivity_config(check, key):
     # a negative refine_iters once ran no golden-section round, and a
@@ -317,6 +352,15 @@ def test_knobs_are_checked_by_coercivity_config(check, key):
         check()
     assert info.value.key == key
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(CoercivityConfig)][1:])
+def test_coercivity_counts_must_be_integers(key):
+    # angular_resolution = 10.5 was accepted here and failed in the search
+    with pytest.raises(RangeError) as info:
+        CoercivityConfig(2, **{key: 10.0})
+    assert str(info.value) == f"key '{key}': must be an integer"
+    assert CoercivityConfig(2, **{key: np.int64(10)})
 
 
 def test_searches_default_to_coercivity_config():
