@@ -25,8 +25,8 @@ import numpy as np
 
 from . import constitutive, diagnostics, pde_solver, wellposedness
 from .constitutive import ConstitutiveModel, EnergyModel, ViscosityModel
-from .errors import (DegenerateQ, DomainError, InvalidConfig, ParseError,
-                     RangeError, Unsupported, ViscolabError)
+from .errors import (DegenerateQ, DomainError, ParseError, RangeError,
+                     Unsupported, ViscolabError)
 from .pde_solver import SolverConfig
 from .wellposedness import CoercivityConfig
 
@@ -537,27 +537,26 @@ def _rate_table(errors):
 
 
 def cmd_convergence(spec):
-    """Manufactured-solution study over grid and time-step halvings."""
+    """Manufactured-solution study over grid and time-step halvings.
+
+    Invalid initial data raise (exit 2, as in simulate); a run that does not
+    complete stops the study with one stderr line and the exit code of its
+    termination."""
     runs = _study_runs(vars(spec))
     _prepare_outdir(spec)
     dim = spec.dim
     model = build_model(vars(spec))
     exact = pde_solver.manufactured_default(dim, spec.amplitude)
-
-    def one(cells, cfg):
-        grid = pde_solver.build_grid(dim, cells)
-        res = pde_solver.manufactured_run(model, grid, cfg, exact)
-        if res.trajectory.termination.kind != 'completed':
-            raise ViscolabError(
-                f"manufactured run ended with {res.trajectory.termination.kind}")
-        return res.l2
-
-    try:
-        errors = [one(cells, cfg) for cells, cfg in runs]
-    except InvalidConfig:
-        raise       # e.g. initial fields that overflow: input error
-    except ViscolabError:
-        return 4
+    errors = []
+    for cells, cfg in runs:
+        res = pde_solver.manufactured_run(
+            model, pde_solver.build_grid(dim, cells), cfg, exact)
+        term = res.trajectory.termination
+        if term.kind != 'completed':
+            print(f"viscolab: convergence run cells = {cells}, dt = {cfg.dt} "
+                  f"ended with {term.kind} at t = {term.time}", file=sys.stderr)
+            return _EXIT_BY_TERMINATION[term.kind]
+        errors.append(res.l2)
     spatial_err, temporal_err = errors[:spec.levels], errors[spec.levels:]
     spatial_rates = _rate_table(spatial_err)
     temporal_rates = _rate_table(temporal_err)

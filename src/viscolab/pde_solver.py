@@ -24,7 +24,9 @@ symmetric positive semidefinite, so every shifted operator alpha I + L is
 symmetric positive definite, and solve_shifted, the one linear solve of the
 time step and of the heat extension, assembles it as one CSR matrix and
 runs conjugate gradients; a solve that does not converge ends the run as
-'linear_solver_failure'.
+'linear_solver_failure'.  The CG loop is the package's own (krylov.cg, bound
+here as spla): scipy.sparse.linalg.cg's stopping rule and iterates, without
+importing scipy.sparse.linalg.
 """
 
 import math
@@ -33,8 +35,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import krylov as spla
 from .constitutive import (dissipation_density, piola_stress, viscous_stress,
                            viscous_tangent_field)
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
@@ -420,7 +422,9 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     Every catalogue tangent is the Hessian of a convex dissipation
     potential, so alpha I + L is symmetric positive definite for alpha > 0
     and conjugate gradients on the one matrix op.interior_matrix(alpha)
-    solve it.  Raises LinearSolveFailure when CG misses tol within its
+    solve it: the package's krylov.cg, warm-started at x0_nodal, which stops
+    at |b - A x| < tol |b| as scipy.sparse.linalg.cg does and gives the same
+    iterates.  Raises LinearSolveFailure when CG misses tol within its
     iteration cap; run records that as 'linear_solver_failure'.
     """
     grid = op.grid

@@ -12,7 +12,8 @@ from viscolab.cli_harness import (RunSpec, _rate_table, cmd_check, cmd_convergen
                                   cmd_korn, cmd_simulate, main, parse_config,
                                   validate_vtk, write_vtk_snapshot)
 from viscolab.constitutive import EnergyModel, ViscosityModel
-from viscolab.errors import InvalidConfig, ParseError, RangeError
+from viscolab.errors import (InvalidConfig, LinearSolveFailure, ParseError,
+                             PicardDivergence, RangeError)
 from viscolab.pde_solver import SolverConfig, build_grid
 from viscolab.wellposedness import CoercivityConfig
 
@@ -618,3 +619,48 @@ def test_cmd_convergence_broken_stencil(tmp_path, monkeypatch):
     assert cmd_convergence(spec) == 5
     rep = read_report(tmp_path / "out" / "rates.txt")
     assert float(rep['spatial_rate']) < 1.0
+
+
+SMALL_STUDY = ("command = convergence\ndim = 1\ncells = 16\nlevels = 2\n"
+               "spatial_dt = 5e-5\nconv_t_end = 0.05\ndt = 0.01\n")
+
+
+def test_cmd_convergence_interpenetrating_data_exit_2(tmp_path, capsys):
+    # amplitude 0.4 folds the 1D bump over (det 1 - 0.4 pi < 0): an input
+    # error reported as simulate reports it, not a silent solver failure
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(SMALL_STUDY + "amplitude = 0.4\n")
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("viscolab: Interpenetration: min cell det = ")
+    assert err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("error,kind,code,time", [
+    (None, 'det_floor_hit', 3, '5e-05'),
+    (PicardDivergence, 'picard_divergence', 4, '0.0'),
+    (LinearSolveFailure, 'linear_solver_failure', 4, '0.0'),
+])
+def test_cmd_convergence_run_failure_names_the_run(tmp_path, capsys, monkeypatch,
+                                                   error, kind, code, time):
+    text = SMALL_STUDY
+    if error is None:
+        # initial data above a zero floor, the first step below the config's
+        real_init = pde_solver.init_state
+        monkeypatch.setattr(pde_solver, 'init_state',
+                            lambda grid, xi0, xi1, floor: real_init(grid, xi0, xi1, 0.0))
+        text += "amplitude = 0.2\ndet_floor = 0.5\n"
+    else:
+        def failing(*args, **kwargs):
+            raise error("stub")
+        monkeypatch.setattr(pde_solver, 'solve_shifted', failing)
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(text)
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == code
+    assert capsys.readouterr().err == (
+        f"viscolab: convergence run cells = 16, dt = 5e-05 ended with {kind} "
+        f"at t = {time}\n")
+    assert not (out / "rates.txt").exists()
