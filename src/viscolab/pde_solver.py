@@ -434,7 +434,7 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     a = op.interior_matrix(alpha)
     x0 = None if x0_nodal is None else _interior_vec(grid, x0_nodal)
     maxiter = max(1000, 2 * b.size)
-    x, info = spla.cg(a, b, x0=x0, rtol=tol, atol=0.0, maxiter=maxiter)
+    x, info = spla.cg(a, b, x0=x0, rtol=tol, maxiter=maxiter)
     if info != 0:
         raise LinearSolveFailure(f"CG returned info={info} at tol {tol:.1e}")
     return _from_interior(grid, x)
