@@ -59,6 +59,9 @@ class ViscosityModel:
     kind 'z0prime':        2 (det F) sym(Q F^-1) F^-T
     kind 'z0doubleprime':  2 F sym(F^T Q)
 
+    Every kind is homogeneous in Q of degree p (2m + 1 for zm, else 1), so
+    by Euler's theorem its tangent satisfies D_Q Z(F, Q)[Q] = p Z(F, Q).
+
     The one owner of the defaults and ranges of the config keys viscosity
     and viscosity_m: RangeError names the first one out of range.  A
     nonnegative integer m is asked of every kind, although only zm reads it.
@@ -87,8 +90,9 @@ class ViscosityModel:
         return cls('z0doubleprime')
 
     @property
-    def linear_in_q(self):
-        return self.kind != 'zm' or self.m == 0
+    def degree(self):
+        """The degree p of homogeneity of Z(F, Q) in Q."""
+        return 2 * self.m + 1 if self.kind == 'zm' else 1
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,14 @@ def viscous_tangent_field(model, f, q):
     """Velocity-gradient tangent D_Q Z(F, Q) as (..., n^2, n^2) matrices.
 
     Column k n + l is the derivative of Z along the basis matrix E_kl, in
-    the row-major vectorization.  Where Z is linear in Q that column is
+    the row-major vectorization.  Where Z has degree 1 in Q that column is
     Z(F, E_kl) itself; for zm with m >= 1 it is
     sum_j A^j sym(E_kl G) A^(2m-j) G^T, with G = F^-1 and A = sym(Q G).
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     basis = np.eye(n * n).reshape(n * n, n, n)
-    if model.linear_in_q:
+    if model.degree == 1:
         cols = viscous_stress(model, f[..., None, :, :], basis)
     else:
         _, g, gt = _inv_transpose(f)

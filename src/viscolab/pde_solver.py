@@ -19,14 +19,17 @@ short loop inside each step.  That loop is Newton's method: with the
 tangent frozen at the current iterate, the shifted operator is the exact
 Jacobian of the step residual, so the increments of a converging step fall
 off quadratically (the picard_* keys, PicardDivergence and the
-'picard_divergence' termination keep their names).  The frozen tangent is
-symmetric positive semidefinite, so every shifted operator alpha I + L is
-symmetric positive definite, and solve_shifted, the one linear solve of the
-time step and of the heat extension, assembles it as one CSR matrix and
-runs conjugate gradients; a solve that does not converge ends the run as
-'linear_solver_failure'.  The CG loop is the package's own (krylov.cg, bound
-here as spla): scipy.sparse.linalg.cg's stopping rule and iterates, without
-importing scipy.sparse.linalg.
+'picard_divergence' termination keep their names).  Every catalogue stress
+is homogeneous of degree p in the velocity gradient, so the tangent maps
+grad v^k to p Z(F, grad v^k) and the Newton right-hand side needs only
+-(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.
+The frozen tangent is symmetric positive semidefinite, so every shifted
+operator alpha I + L is symmetric positive definite, and solve_shifted, the
+one linear solve of the time step and of the heat extension, assembles it
+as one CSR matrix and runs conjugate gradients; a solve that does not
+converge ends the run as 'linear_solver_failure'.  The CG loop is the
+package's own (krylov.cg, bound here as spla): scipy.sparse.linalg.cg's
+stopping rule and iterates, without importing scipy.sparse.linalg.
 """
 
 import math
@@ -380,7 +383,8 @@ class ViscousOperator:
     def apply(self, nodal):
         """Matrix-free -div(M grad w): the oracle tests compare assembly against."""
         g = gradient_field(self.grid, nodal)
-        return -stress_divergence(self.grid, _apply_tangent(self.grid, self.m_cells, g))
+        stress = self.m_cells @ g.reshape(g.shape[:-2] + (-1, 1))
+        return -stress_divergence(self.grid, stress.reshape(g.shape))
 
     def interior_matrix(self, shift=0.0):
         """shift I + G_I^T blockdiag(M) G_I as a new canonical CSR matrix
@@ -440,13 +444,6 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     return _from_interior(grid, x)
 
 
-def _apply_tangent(grid, m_cells, cell_field):
-    n = grid.dim
-    flat = cell_field.reshape(grid.cell_shape + (n * n,))
-    out = np.einsum('...ab,...b->...a', m_cells, flat)
-    return out.reshape(cell_field.shape)
-
-
 def semi_implicit_step(state, model, grid, cfg, forcing=None):
     """One step of the frozen-tangent scheme.
 
@@ -460,8 +457,10 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     is Newton's method on the step residual
     (v - v^n)/dt - div(DW(F)) - div Z(F, grad v) - f, whose exact Jacobian
     at v^k is I/dt - div(M^k grad), so a converging step's increments fall
-    off quadratically.  For
-    viscosities linear in the velocity gradient the first iterate is already
+    off quadratically.  Z has degree p in Q (ViscosityModel.degree), so by
+    Euler's theorem M^k grad v^k = p Z(F, grad v^k) and the right-hand side
+    is built as v^n/dt + div(DW(F)) + f - (p - 1) div Z(F, grad v^k).  For
+    p = 1 that needs no stress evaluation, and the first iterate is already
     the solution, so the loop stops after one solve.  Then xi advances by
     dt * v_new.  An unforced step adds dt h^d sum_cells Z(F, G v_new):G v_new
     and the numerical dissipation 1/2 h^d sum_nodes |v_new - v^n|^2 to the
@@ -474,15 +473,17 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     if forcing is not None:
         rhs_fixed = rhs_fixed + forcing(state.time + dt, grid)
 
+    p = model.viscosity.degree
     v_k = state.v
     first_inc = None
     for _ in range(cfg.picard_max):
         grad_vk = gradient_field(grid, v_k)
-        m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
-        corr = viscous_stress(model.viscosity, f_cells, grad_vk) \
-            - _apply_tangent(grid, m_k, grad_vk)
-        rhs = rhs_fixed + stress_divergence(grid, corr)
-        op = ViscousOperator(grid, m_k)
+        rhs = rhs_fixed
+        if p > 1:
+            rhs = rhs - (p - 1) * stress_divergence(
+                grid, viscous_stress(model.viscosity, f_cells, grad_vk))
+        op = ViscousOperator(
+            grid, viscous_tangent_field(model.viscosity, f_cells, grad_vk))
         v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol, x0_nodal=v_k)
         if not np.all(np.isfinite(v_new)):
             raise PicardDivergence("non-finite iterate")
@@ -493,7 +494,7 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
             raise PicardDivergence(
                 f"increment grew from {first_inc:.3e} to {inc:.3e}")
         v_k = v_new
-        if inc <= cfg.picard_tol or model.viscosity.linear_in_q:
+        if inc <= cfg.picard_tol or p == 1:
             break
     dissipated = None
     if forcing is None and state.dissipated is not None:

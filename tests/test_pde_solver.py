@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
-                                   viscous_tangent_field)
+                                   viscous_stress, viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                              RangeError)
 from viscolab.pde_solver import (ExactSolution, SolverConfig,
@@ -252,39 +252,90 @@ def test_semi_implicit_step_linear_model_picard_fixed_point():
     (ViscosityModel.z0doubleprime(), True), (ViscosityModel.z0prime(), True),
     (ViscosityModel.zm(0), True), (ViscosityModel.zm(1), False)])
 def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
-    # Q-linear viscosities need no confirming solve; zm(1) refreezes
+    # Q-linear viscosities need no confirming solve; zm(1) refreezes.  The
+    # Newton right-hand side evaluates the stress once per solve for degree
+    # p > 1 and never for p = 1 (the ledger's dissipation_density calls
+    # constitutive.viscous_stress, which is not counted here)
     import viscolab.pde_solver as mod
     calls = []
+    stresses = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_shifted(*args, **kwargs)
 
+    def counting_stress(*args, **kwargs):
+        stresses.append(1)
+        return viscous_stress(*args, **kwargs)
+
     monkeypatch.setattr(mod, 'solve_shifted', counting)
+    monkeypatch.setattr(mod, 'viscous_stress', counting_stress)
     g = build_grid(1, 16)
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
     semi_implicit_step(st, ConstitutiveModel(EnergyModel.w0(), viscosity), g,
                        SolverConfig(dt=1e-3, t_end=1.0))
     assert (len(calls) == 1) if expect_one else (len(calls) >= 2)
+    assert len(stresses) == (0 if expect_one else len(calls))
 
 
 def test_semi_implicit_step_dense_oracle():
-    # one step on 5 nodes vs an independently assembled dense solve
+    # one Newton solve on 5 nodes vs an independently assembled dense solve
+    # whose right-hand side carries the correction Z(F, Q) - M Q in full
     g = build_grid(1, 4)
     dt = 1e-3
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: np.sin(np.pi * x), 1e-3)
-    stepped = semi_implicit_step(st, W0_Z0DP, g, SolverConfig(dt=dt, t_end=1.0))
-
     f = gradient_field(g, st.xi)
-    m = viscous_tangent_field(W0_Z0DP.viscosity, f, gradient_field(g, st.v))
-    a = ViscousOperator(g, m).interior_matrix().toarray()
-    a += np.eye(a.shape[0]) / dt
-    rhs = _interior_vec(g, st.v / dt
-                        + stress_divergence(g, piola_stress(W0_Z0DP.energy, f)))
-    v_expected = np.linalg.solve(a, rhs)
-    assert np.max(np.abs(_interior_vec(g, stepped.v) - v_expected)) <= 1e-10
+    q = gradient_field(g, st.v)
+    for viscosity in (ViscosityModel.z0doubleprime(), ViscosityModel.z0prime(),
+                      ViscosityModel.zm(1), ViscosityModel.zm(2)):
+        model = ConstitutiveModel(EnergyModel.w0(), viscosity)
+        stepped = semi_implicit_step(
+            st, model, g, SolverConfig(dt=dt, t_end=1.0, picard_max=1))
+
+        m = viscous_tangent_field(viscosity, f, q)
+        a = ViscousOperator(g, m).interior_matrix().toarray()
+        a += np.eye(a.shape[0]) / dt
+        mq = np.einsum('...ab,...b->...a', m, q.reshape(q.shape[:-2] + (-1,)))
+        corr = viscous_stress(viscosity, f, q) - mq.reshape(q.shape)
+        rhs = _interior_vec(g, st.v / dt
+                            + stress_divergence(g, piola_stress(model.energy, f))
+                            + stress_divergence(g, corr))
+        v_expected = np.linalg.solve(a, rhs)
+        assert np.max(np.abs(_interior_vec(g, stepped.v) - v_expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("viscosity", [ViscosityModel.zm(1), ViscosityModel.zm(2)])
+@pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
+def test_semi_implicit_step_solves_its_residual(viscosity, dim, cells):
+    # a converged zm step solves (v - v^n)/dt - div DW(F) - div Z(F, G v) = 0
+    # on the interior.  CG stops at 1e-10 relative to the right-hand side
+    # and Newton at a 1e-10 increment, so the scaled residual sits near
+    # 1e-10 (measured <= 6.4e-10); 1e-8 leaves room for rounding only
+    g = build_grid(dim, cells)
+    dt = 1e-2
+    model = ConstitutiveModel(EnergyModel.w0(), viscosity)
+
+    def bump(x):
+        return np.prod(np.sin(np.pi * x), axis=-1)
+
+    def xi0(x):
+        out = np.array(x, copy=True)
+        out[..., 0] += 0.05 * bump(x)
+        return out
+
+    st = init_state(g, xi0, lambda x: 0.5 * bump(x)[..., None] * np.ones(dim),
+                    1e-3)
+    new = semi_implicit_step(st, model, g,
+                             SolverConfig(dt=dt, t_end=1.0, picard_max=20))
+    f = gradient_field(g, st.xi)
+    div_z = stress_divergence(
+        g, viscous_stress(viscosity, f, gradient_field(g, new.v)))
+    acc = (new.v - st.v) / dt
+    res = acc - stress_divergence(g, piola_stress(model.energy, f)) - div_z
+    scale = np.max(np.abs(div_z)) + np.max(np.abs(acc))
+    assert np.max(np.abs(_interior_vec(g, res))) <= 1e-8 * scale
 
 
 def kronecker_gradient(dim, cells):
