@@ -430,8 +430,11 @@ def cmd_check(spec):
     n = grid.dim
     f0 = pde_solver.gradient_field(grid, state.xi).reshape(-1, n, n)
     q0 = pde_solver.gradient_field(grid, state.v).reshape(-1, n, n)
-    report = wellposedness.check_initial_data(
-        viscosity, f0, q0, spec.angular_resolution, spec.refine_iters)
+    try:
+        report = wellposedness.check_initial_data(
+            viscosity, f0, q0, spec.angular_resolution, spec.refine_iters)
+    except ValueError as exc:   # a non-finite tangent, named by its cell
+        raise DomainError(f"initial data: {exc}") from exc
     worst_m = constitutive.viscous_tangent_q(
         viscosity, f0[report.worst_node], q0[report.worst_node])
     sector = wellposedness.sector_scan(worst_m, spec.num_directions)

@@ -1,29 +1,30 @@
 """Structured-grid discretization of the viscoelastic momentum balance.
 
-The domain is [0,1]^dim (dim 1-3) with clamped boundary nodes.  One cell
-table (see _cell_table) states the grid's connectivity: each cell's corner
-dofs and the per-cell gradient D on them, the averaged corner difference.
-Every discrete operator is built from one sparse matrix, the cell gradient
-G (see clamped_gradient), which places D on each cell's dofs and so maps
-nodal vectors to gradients at cell centers.  The gradient is G u, the
-stress divergence is -G_I^T P on the interior dofs, and the viscous
-operator is G_I^T blockdiag(M) G_I, so the summation-by-parts pair holds by
-construction.  That operator is assembled on a pattern fixed by the grid
-and built from the same table (see _operator_pattern): each cell
-contributes D^T M_c D, and a cached scatter adds those local entries into
-the slots of a canonical (column-sorted) CSR pattern built once per grid,
-whose read-only indices and indptr every assembled matrix shares.  Time
-stepping is semi-implicit: the elastic stress is explicit, the viscous
-stress is linearized around the frozen tangent D_Q Z and refrozen in a
-short loop inside each step.  That loop is Newton's method: with the
-tangent frozen at the current iterate, the shifted operator is the exact
-Jacobian of the step residual, so the increments of a converging step fall
-off quadratically (the picard_* keys, PicardDivergence and the
+The domain is [0,1]^dim (dim 1-3) with clamped boundary nodes.  One cached
+cell table (see _cell_table) states the grid once: each cell's corner dofs,
+the per-cell gradient D on them (the averaged corner difference) and the
+interior (unclamped) dofs.  The cell gradient G, which maps nodal vectors
+to gradients at cell centers, is applied from that table and never stored
+as a matrix: the gradient gathers each cell's dofs and multiplies by D, and
+the stress divergence -G_I^T P multiplies each cell's stress by D and
+scatters it back onto the interior dofs, so the summation-by-parts pair
+holds by construction.  The viscous operator G_I^T blockdiag(M) G_I is
+assembled on a pattern fixed by the grid and built from the same table (see
+_operator_pattern): each cell contributes D^T M_c D, and a cached scatter
+adds those local entries into the slots of a canonical (column-sorted) CSR
+pattern built once per grid, whose read-only indices and indptr every
+assembled matrix shares; that matrix is the one scipy object the module
+builds.  Time stepping is semi-implicit: the elastic stress is explicit,
+the viscous stress is linearized around the frozen tangent D_Q Z and
+refrozen in a short loop inside each step.  That loop is Newton's method:
+with the tangent frozen at the current iterate, the shifted operator is the
+exact Jacobian of the step residual, so the increments of a converging step
+fall off quadratically (the picard_* keys, PicardDivergence and the
 'picard_divergence' termination keep their names).  Every catalogue stress
 is homogeneous of degree p in the velocity gradient, so the tangent maps
 grad v^k to p Z(F, grad v^k) and the Newton right-hand side needs only
--(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.
-The frozen tangent is symmetric positive semidefinite, so every shifted
+-(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.  The
+frozen tangent is symmetric positive semidefinite, so every shifted
 operator alpha I + L is symmetric positive definite, and solve_shifted, the
 one linear solve of the time step and of the heat extension, assembles it
 as one CSR matrix and runs conjugate gradients; a solve that does not
@@ -210,14 +211,17 @@ def init_state(grid, xi0, xi1, det_floor):
     return FieldState(0.0, xi, v, 0.0)
 
 
+@lru_cache(maxsize=8)
 def _cell_table(dim, cells):
-    """The grid's connectivity (corners, local, d), the source of G and of
-    the operator pattern: corners are a cell's 2^dim corner offsets in
+    """The grid's one statement of G, built once per grid and read-only:
+    (corners, local, d, dofs).  corners are a cell's 2^dim corner offsets in
     lexicographic order, local[cell] the cell's row-major nodal dofs
     (corner, component), so each row ascends, and d (dim^2 x 2^dim dim) the
     per-cell gradient on them, the averaged corner difference: row (r, c)
     holds -/+ cells / 2^(dim-1) on component r of the corners at offset 0/1
-    along axis c."""
+    along axis c.  dofs are the interior (unclamped) nodal dofs, ascending.
+    So G maps row-major nodal dofs (node, r) to row-major cell gradients
+    (cell, r, c), and G_I = G[:, dofs]."""
     comp = np.arange(dim)
     corners = np.indices((2,) * dim).reshape(dim, -1).T
     lower = np.indices((cells,) * dim).reshape(dim, -1).T
@@ -225,34 +229,11 @@ def _cell_table(dim, cells):
     local = (nodes[..., None] * dim + comp).reshape(lower.shape[0], -1)
     d = np.zeros((dim, dim, corners.shape[0], dim))
     d[comp, :, :, comp] = (2 * corners.T - 1) * cells / 2 ** (dim - 1)
-    return corners, local, d.reshape(dim * dim, -1)
-
-
-@lru_cache(maxsize=8)
-def clamped_gradient(dim, cells):
-    """The cell gradient G as sparse matrices, built once per grid.
-
-    G maps row-major nodal dofs (node, r) to row-major cell gradients
-    (cell, r, c): row (cell, r, c) holds the nonzeros of row (r, c) of the
-    per-cell gradient d of _cell_table, placed on the cell's local dofs.
-    Returns (G, G_I, G_I^T, dofs), where dofs are the interior (unclamped)
-    nodal dofs and G_I = G[:, dofs].  The returned arrays are shared between
-    callers and read-only.
-    """
-    n = dim
-    _, local, d = _cell_table(dim, cells)
-    cols = np.nonzero(d)[1].reshape(d.shape[0], -1)
-    indices = local[:, cols].reshape(-1).astype(np.int32)
-    indptr = np.arange(0, indices.size + 1, cols.shape[1], dtype=np.int32)
-    g = sp.csr_matrix((np.tile(d[d != 0], local.shape[0]), indices, indptr),
-                      shape=(indptr.size - 1, n * (cells + 1) ** dim))
+    d = d.reshape(dim * dim, -1)
     interior = np.nonzero(~Grid(dim, cells).boundary_mask().reshape(-1))[0]
-    dofs = (interior[:, None] * n + np.arange(n)).reshape(-1)
-    g_i = g[:, dofs].tocsr()
-    g_it = g_i.T.tocsr()
-    _read_only(g.data, g.indices, g.indptr, g_i.data, g_i.indices, g_i.indptr,
-               g_it.data, g_it.indices, g_it.indptr, dofs)
-    return g, g_i, g_it, dofs
+    dofs = (interior[:, None] * dim + comp).reshape(-1)
+    _read_only(corners, local, d, dofs)
+    return corners, local, d, dofs
 
 
 def _read_only(*arrays):
@@ -264,16 +245,14 @@ def _read_only(*arrays):
 class OperatorPattern:
     """The grid-fixed part of the interior viscous operator.
 
-    d is the per-cell gradient (dim^2 x 2^dim dim) on the cell's local dofs
-    (corner, component), corner-major.  indices/indptr are the canonical
-    CSR pattern of G_I^T blockdiag(M) G_I (each row's columns strictly
-    ascending), and diag holds the slot of each row's diagonal.  Each block
+    indices/indptr are the canonical CSR pattern of G_I^T blockdiag(M) G_I
+    (each row's columns strictly ascending), and diag holds the slot of each
+    row's diagonal.  Each block
     (first cell, lo, hi, slots) covers SCATTER_BLOCK cells whose local
     entries (cell, a, b) land in the CSR range [lo, hi): slots holds
     slot - lo, or hi - lo (a trash slot) where a or b is a clamped dof.
     """
 
-    d: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     diag: np.ndarray
@@ -298,8 +277,7 @@ def _operator_pattern(dim, cells):
     per-cell tables are built one block of SCATTER_BLOCK cells at a time.
     """
     n = dim
-    corners, local, d = _cell_table(dim, cells)
-    dofs = clamped_gradient(dim, cells)[3]
+    corners, local, _, dofs = _cell_table(dim, cells)
     interior = np.full(n * (cells + 1) ** dim, -1)
     interior[dofs] = np.arange(dofs.size)
     loc = interior[local]
@@ -334,30 +312,36 @@ def _operator_pattern(dim, cells):
         slots = np.where(kept, slot - lo, hi - lo).astype(np.int32)
         _read_only(slots)
         blocks.append((first, lo, hi, slots))
-    pattern = OperatorPattern(d, indices, indptr, diag, tuple(blocks))
-    _read_only(pattern.d, pattern.indices, pattern.indptr, pattern.diag)
+    pattern = OperatorPattern(indices, indptr, diag, tuple(blocks))
+    _read_only(pattern.indices, pattern.indptr, pattern.diag)
     return pattern
 
 
 def gradient_field(grid, nodal):
-    """Cell-centered gradient G u by averaged corner differences.
+    """Cell-centered gradient G u by averaged corner differences, applied
+    from the cell table: each cell's dofs gathered and multiplied by d.
 
     Exact for affine fields; second-order accurate at cell centers.
     Returns shape cell_shape + (dim, dim) with F[..., r, c] = d xi_r / d X_c.
     """
-    g = clamped_gradient(grid.dim, grid.cells)[0]
+    _, local, d, _ = _cell_table(grid.dim, grid.cells)
     n = grid.dim
-    return (g @ nodal.reshape(-1)).reshape(grid.cell_shape + (n, n))
+    return (nodal.reshape(-1)[local] @ d.T).reshape(grid.cell_shape + (n, n))
 
 
 def stress_divergence(grid, cell_stress):
     """Row-wise divergence -G_I^T P: exact negative adjoint of gradient_field.
 
-    <div P, w>_nodes = -<P, grad w>_cells for every clamped w.  Boundary
-    rows are zero (clamped degrees of freedom carry no equation).
+    Each cell's stress is multiplied by the cell table's d and scattered
+    onto the cell's dofs, so <div P, w>_nodes = -<P, grad w>_cells for every
+    clamped w.  Boundary rows are zero (clamped degrees of freedom carry no
+    equation).
     """
-    return _from_interior(grid, -(clamped_gradient(grid.dim, grid.cells)[2]
-                                  @ cell_stress.reshape(-1)))
+    _, local, d, dofs = _cell_table(grid.dim, grid.cells)
+    nodal = np.bincount(local.reshape(-1),
+                        (cell_stress.reshape(local.shape[0], -1) @ d).reshape(-1),
+                        minlength=grid.num_nodes * grid.dim)
+    return _from_interior(grid, -nodal[dofs])
 
 
 class ViscousOperator:
@@ -366,9 +350,10 @@ class ViscousOperator:
     m_cells holds the frozen tangent per cell as (cells..., n^2, n^2).
     The interior matrix is G_I^T blockdiag(M) G_I, the same composition of
     gradient_field, the cell-wise tangent and stress_divergence that apply
-    performs matrix-free.  It is assembled as the sum over cells of
-    D^T M_c D, scattered into the grid's fixed CSR pattern; a shift is
-    added at the diagonal slots after every block.
+    performs matrix-free, all three from the cell table's d.  It is
+    assembled as the sum over cells of D^T M_c D, scattered into the grid's
+    fixed CSR pattern; a shift is added at the diagonal slots after every
+    block.
     """
 
     def __init__(self, grid, m_cells):
@@ -390,11 +375,12 @@ class ViscousOperator:
         """shift I + G_I^T blockdiag(M) G_I as a new canonical CSR matrix
         that shares the grid's cached, read-only indices and indptr."""
         pat = _operator_pattern(self.grid.dim, self.grid.cells)
+        d = _cell_table(self.grid.dim, self.grid.cells)[2]
         k = self.grid.dim ** 2
         m = self.m_cells.reshape(-1, k, k)
         data = np.zeros(pat.indices.size)
         for first, lo, hi, slots in pat.blocks:
-            local = pat.d.T @ (m[first:first + slots.shape[0]] @ pat.d)
+            local = d.T @ (m[first:first + slots.shape[0]] @ d)
             data[lo:hi] += np.bincount(slots.reshape(-1), local.reshape(-1),
                                        minlength=hi - lo + 1)[:-1]
         data[pat.diag] += shift
@@ -409,12 +395,12 @@ def identity_tangent(grid):
 
 
 def _interior_vec(grid, nodal):
-    dofs = clamped_gradient(grid.dim, grid.cells)[3]
+    dofs = _cell_table(grid.dim, grid.cells)[3]
     return nodal.reshape(-1)[dofs]
 
 
 def _from_interior(grid, vec):
-    dofs = clamped_gradient(grid.dim, grid.cells)[3]
+    dofs = _cell_table(grid.dim, grid.cells)[3]
     out = np.zeros(grid.num_nodes * grid.dim)
     out[dofs] = vec
     return out.reshape(grid.node_shape + (grid.dim,))

@@ -309,6 +309,47 @@ def test_korn_non_finite_tensor_exits_2(tmp_path, capsys, key, entries):
     assert info.value.key == key
 
 
+def test_check_non_finite_tangent_exits_2(tmp_path, capsys):
+    # zm(200) on a large sinusoidal deformation overflows the cell tangents;
+    # check_initial_data raises ValueError, which check reports as korn does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = check\ndim = 2\ncells = 8\nviscosity = zm\n"
+                   "viscosity_m = 200\npreset = sinusoidal\namplitude = 5.0\n"
+                   "mode = 3\n")
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "viscolab: DomainError: initial data: non-finite tangent at node 0\n")
+
+
+class _NoScipy:
+    def __getattr__(self, name):
+        raise AssertionError(f"scipy.sparse.{name} used")
+
+
+def test_check_and_korn_build_no_scipy_object(tmp_path, monkeypatch):
+    # neither command assembles or solves, so neither may reach scipy; the
+    # grid caches are cleared so that no earlier test's build hides a call
+    texts = {'check': "command = check\ndim = 2\ncells = 8\n"
+                      "angular_resolution = 90\nrefine_iters = 3\n",
+             'korn': "command = korn\ndim = 2\n"}
+    for command, text in texts.items():
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text)
+        reports = []
+        for stub in (False, True):
+            pde_solver._cell_table.cache_clear()
+            pde_solver._operator_pattern.cache_clear()
+            out = tmp_path / f"{command}-{stub}"
+            with monkeypatch.context() as patch:
+                if stub:
+                    patch.setattr(pde_solver, 'sp', _NoScipy())
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "report.txt").read_bytes())
+        assert reports[0] == reports[1]
+
+
 def test_cmd_korn_z0doubleprime(tmp_path):
     spec = spec_from(tmp_path, "command = korn\ndim = 2\n")
     assert cmd_korn(spec) == 0
