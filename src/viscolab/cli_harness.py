@@ -431,8 +431,11 @@ def cmd_check(spec):
     f0 = pde_solver.gradient_field(grid, state.xi).reshape(-1, n, n)
     q0 = pde_solver.gradient_field(grid, state.v).reshape(-1, n, n)
     try:
-        report = wellposedness.check_initial_data(
-            viscosity, f0, q0, spec.angular_resolution, spec.refine_iters)
+        # an overflowing tangent is reported below as one DomainError line,
+        # not also as numpy's floating-point warnings
+        with np.errstate(over='ignore', invalid='ignore'):
+            report = wellposedness.check_initial_data(
+                viscosity, f0, q0, spec.angular_resolution, spec.refine_iters)
     except ValueError as exc:   # a non-finite tangent, named by its cell
         raise DomainError(f"initial data: {exc}") from exc
     worst_m = constitutive.viscous_tangent_q(
@@ -467,7 +470,8 @@ def cmd_korn(spec):
     f0 = np.array(spec.f0, dtype=float).reshape(n, n) if spec.f0 else np.eye(n)
     q0 = np.array(spec.q0, dtype=float).reshape(n, n) if spec.q0 else np.zeros((n, n))
     viscosity = ViscosityModel(spec.viscosity, spec.viscosity_m)
-    tangent = constitutive.viscous_tangent_q(viscosity, f0, q0)
+    with np.errstate(over='ignore', invalid='ignore'):   # reported just below
+        tangent = constitutive.viscous_tangent_q(viscosity, f0, q0)
     if not np.all(np.isfinite(tangent)):
         raise DomainError("the viscous tangent at (f0, q0) overflows")
     r1 = wellposedness.rank_one_min(tangent, spec.angular_resolution,

@@ -211,29 +211,75 @@ def dissipation_density(model, f, q):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def viscous_response(model, f):
+    """Z and its tangent D_Q Z together, at a deformation F frozen across calls.
+
+    For zm with m >= 1 (degree > 1).  F^-1 is taken once, here; the returned
+    respond(q) gives (Z(F, Q), M) with M the (..., n^2, n^2) tangent in the
+    row-major vectorization of `viscous_tangent_field`, C-contiguous.  With
+    G = F^-1, A = sym(Q G) and P_j = A^j, both come from one list of powers:
+    Z = P_2m A G^T, multiplied in the order `viscous_stress` uses, so Z is
+    bit-identical to it, and
+
+        M[(a,b),(k,l)] = 1/2 sum_j P_j[a,k] (G P_(2m-j) G^T)[l,b]
+                                 + (P_j G^T)[a,l] (P_(2m-j) G^T)[k,b],
+
+    which is sum_j P_j sym(E_kl G) P_(2m-j) G^T written out.  Both sums run
+    as one batched matrix product over j.
+    """
+    if model.degree == 1:
+        raise ValueError("viscous_response needs a viscosity of degree > 1")
+    f = np.asarray(f, dtype=float)
+    _, g, gt = _inv_transpose(f)
+    n = f.shape[-1]
+    top = 2 * model.m
+    # Z multiplies by the view gt, as viscous_stress does; the stacks below
+    # take a contiguous copy, which matmul broadcasts over j twice as fast
+    half_g = 0.5 * g[..., None, :, :]
+    gt_c = np.ascontiguousarray(gt)[..., None, :, :]
+
+    def respond(q):
+        a = sym(np.asarray(q, dtype=float) @ g)
+        lead = a.shape[:-2]
+        # x[..., 0, j] = P_j and x[..., 1, j] = P_j G^T
+        x = np.empty(lead + (2, top + 1, n, n))
+        x[..., 0, 0, :, :] = np.eye(n)
+        x[..., 0, 1, :, :] = a
+        for j in range(2, top + 1):
+            np.matmul(x[..., 0, j - 1, :, :], a, out=x[..., 0, j, :, :])
+        z = x[..., 0, top, :, :] @ a @ gt
+        np.matmul(x[..., 0, :, :, :], gt_c, out=x[..., 1, :, :, :])
+        # y[..., 0, j] = G P_j G^T / 2 and y[..., 1, j] = P_j G^T / 2
+        y = np.empty_like(x)
+        np.matmul(half_g, x[..., 1, :, :, :], out=y[..., 0, :, :, :])
+        np.multiply(x[..., 1, :, :, :], 0.5, out=y[..., 1, :, :, :])
+        # the sums over j of the outer products of x_j and y_(2m-j)
+        k = n * n
+        t = (np.swapaxes(x.reshape(lead + (2, top + 1, k)), -1, -2)
+             @ y[..., ::-1, :, :].reshape(lead + (2, top + 1, k)))
+        t = t.reshape(-1, 2, n, n, n, n)
+        m = np.add(t[:, 0].transpose(0, 1, 4, 2, 3),    # (a, k, l, b)
+                   t[:, 1].transpose(0, 1, 4, 3, 2),    # (a, l, k, b)
+                   order='C')
+        return z, m.reshape(lead + (k, k))
+
+    return respond
+
+
 def viscous_tangent_field(model, f, q):
     """Velocity-gradient tangent D_Q Z(F, Q) as (..., n^2, n^2) matrices.
 
     Column k n + l is the derivative of Z along the basis matrix E_kl, in
     the row-major vectorization.  Where Z has degree 1 in Q that column is
-    Z(F, E_kl) itself; for zm with m >= 1 it is
-    sum_j A^j sym(E_kl G) A^(2m-j) G^T, with G = F^-1 and A = sym(Q G).
+    Z(F, E_kl) itself; for zm with m >= 1 the tangent is the closed form of
+    `viscous_response`.
     """
+    if model.degree > 1:
+        return viscous_response(model, f)(q)[1]
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     basis = np.eye(n * n).reshape(n * n, n, n)
-    if model.degree == 1:
-        cols = viscous_stress(model, f[..., None, :, :], basis)
-    else:
-        _, g, gt = _inv_transpose(f)
-        a = sym(np.asarray(q, dtype=float) @ g)
-        powers = [np.broadcast_to(np.eye(n), a.shape)]
-        for _ in range(2 * model.m):
-            powers.append(powers[-1] @ a)
-        e_g = sym(basis @ g[..., None, :, :])
-        cols = sum(powers[j][..., None, :, :] @ e_g
-                   @ (powers[2 * model.m - j] @ gt)[..., None, :, :]
-                   for j in range(2 * model.m + 1))
+    cols = viscous_stress(model, f[..., None, :, :], basis)
     return np.swapaxes(cols.reshape(cols.shape[:-3] + (n * n, n * n)), -1, -2)
 
 

@@ -23,14 +23,17 @@ fall off quadratically (the picard_* keys, PicardDivergence and the
 'picard_divergence' termination keep their names).  Every catalogue stress
 is homogeneous of degree p in the velocity gradient, so the tangent maps
 grad v^k to p Z(F, grad v^k) and the Newton right-hand side needs only
--(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.  The
-frozen tangent is symmetric positive semidefinite, so every shifted
-operator alpha I + L is symmetric positive definite, and solve_shifted, the
-one linear solve of the time step and of the heat extension, assembles it
-as one CSR matrix and runs conjugate gradients; a solve that does not
-converge ends the run as 'linear_solver_failure'.  The CG loop is the
-package's own (krylov.cg, bound here as spla): scipy.sparse.linalg.cg's
-stopping rule and iterates, without importing scipy.sparse.linalg.
+-(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.  For
+p > 1 (zm, m >= 1) one constitutive pass per iterate gives Z and the
+tangent together, from a viscous_response built once per step, which takes
+F^-1 once for the step's frozen F.  The frozen tangent is symmetric
+positive semidefinite, so every shifted operator alpha I + L is symmetric
+positive definite, and solve_shifted, the one linear solve of the time step
+and of the heat extension, assembles it as one CSR matrix and runs
+conjugate gradients; a solve that does not converge ends the run as
+'linear_solver_failure'.  The CG loop is the package's own (krylov.cg,
+bound here as spla): scipy.sparse.linalg.cg's stopping rule and iterates,
+without importing scipy.sparse.linalg.
 """
 
 import math
@@ -41,8 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import krylov as spla
-from .constitutive import (dissipation_density, piola_stress, viscous_stress,
-                           viscous_tangent_field)
+from .constitutive import (dissipation_density, piola_stress, viscous_response,
+                           viscous_stress, viscous_tangent_field)
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                      LinearSolveFailure, PicardDivergence, RangeError,
                      require_integer)
@@ -446,11 +449,15 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     off quadratically.  Z has degree p in Q (ViscosityModel.degree), so by
     Euler's theorem M^k grad v^k = p Z(F, grad v^k) and the right-hand side
     is built as v^n/dt + div(DW(F)) + f - (p - 1) div Z(F, grad v^k).  For
-    p = 1 that needs no stress evaluation, and the first iterate is already
-    the solution, so the loop stops after one solve.  Then xi advances by
-    dt * v_new.  An unforced step adds dt h^d sum_cells Z(F, G v_new):G v_new
-    and the numerical dissipation 1/2 h^d sum_nodes |v_new - v^n|^2 to the
-    dissipation ledger; a forced step keeps none.
+    p > 1 the step builds viscous_response(model.viscosity, F) once, so F^-1
+    is taken once per step, and each iterate makes one call of it for both
+    Z(F, grad v^k) and M^k.  For p = 1 the iterate takes M^k from
+    viscous_tangent_field and evaluates no stress, and the first iterate is
+    already the solution, so the loop stops after one solve.  Then xi
+    advances by dt * v_new.  An unforced step adds
+    dt h^d sum_cells Z(F, G v_new):G v_new and the numerical dissipation
+    1/2 h^d sum_nodes |v_new - v^n|^2 to the dissipation ledger; a forced
+    step keeps none.
     """
     dt = cfg.dt
     f_cells = gradient_field(grid, state.xi)
@@ -460,16 +467,18 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         rhs_fixed = rhs_fixed + forcing(state.time + dt, grid)
 
     p = model.viscosity.degree
+    respond = viscous_response(model.viscosity, f_cells) if p > 1 else None
     v_k = state.v
     first_inc = None
     for _ in range(cfg.picard_max):
         grad_vk = gradient_field(grid, v_k)
-        rhs = rhs_fixed
         if p > 1:
-            rhs = rhs - (p - 1) * stress_divergence(
-                grid, viscous_stress(model.viscosity, f_cells, grad_vk))
-        op = ViscousOperator(
-            grid, viscous_tangent_field(model.viscosity, f_cells, grad_vk))
+            z, m_k = respond(grad_vk)
+            rhs = rhs_fixed - (p - 1) * stress_divergence(grid, z)
+        else:
+            rhs = rhs_fixed
+            m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
+        op = ViscousOperator(grid, m_k)
         v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol, x0_nodal=v_k)
         if not np.all(np.isfinite(v_new)):
             raise PicardDivergence("non-finite iterate")

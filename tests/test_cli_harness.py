@@ -1,6 +1,9 @@
 import importlib.util
 import os
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -296,11 +299,9 @@ def test_korn_non_finite_tensor_exits_2(tmp_path, capsys, key, entries):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"command = korn\ndim = 2\n{key} = {entries}\n")
     argv = ["korn", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    if "nan" in entries:
+    with warnings.catch_warnings():     # an overflow is reported, not warned
+        warnings.simplefilter("error")
         assert main(argv) == 2
-    else:
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("viscolab: ") and err.count("\n") == 1
     cfg.write_text(f"command = korn\ndim = 2\n{key} = 1,inf,0,1\n")
@@ -316,11 +317,35 @@ def test_check_non_finite_tangent_exits_2(tmp_path, capsys):
     cfg.write_text("command = check\ndim = 2\ncells = 8\nviscosity = zm\n"
                    "viscosity_m = 200\npreset = sinusoidal\namplitude = 5.0\n"
                    "mode = 3\n")
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+    with warnings.catch_warnings():     # an overflow is reported, not warned
+        warnings.simplefilter("error")
         code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == (
         "viscolab: DomainError: initial data: non-finite tangent at node 0\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "dim = 2\ncells = 8\nviscosity = zm\nviscosity_m = 200\n"
+              "preset = sinusoidal\namplitude = 5.0\nmode = 3\n"),
+    ("korn", "dim = 2\nf0 = 1e200,0,0,1e200\n"),
+])
+def test_overflowing_tangent_writes_one_stderr_line(tmp_path, command, text):
+    # outside pytest's warning capture, in a process with Python's default
+    # warning filters, an overflowing tangent is one viscolab: line, not
+    # numpy's RuntimeWarnings followed by it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{text}")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from viscolab.cli_harness import main; sys.exit(main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "src"), command,
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("viscolab: DomainError: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 class _NoScipy:

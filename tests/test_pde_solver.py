@@ -5,7 +5,8 @@ import scipy.sparse.linalg as spla
 
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, piola_stress,
-                                   viscous_stress, viscous_tangent_field)
+                                   viscous_response, viscous_stress,
+                                   viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                              RangeError)
 from viscolab.pde_solver import (ExactSolution, SolverConfig,
@@ -252,23 +253,38 @@ def test_semi_implicit_step_linear_model_picard_fixed_point():
     (ViscosityModel.z0doubleprime(), True), (ViscosityModel.z0prime(), True),
     (ViscosityModel.zm(0), True), (ViscosityModel.zm(1), False)])
 def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
-    # Q-linear viscosities need no confirming solve; zm(1) refreezes.  The
-    # Newton right-hand side evaluates the stress once per solve for degree
-    # p > 1 and never for p = 1 (the ledger's dissipation_density calls
-    # constitutive.viscous_stress, which is not counted here)
+    # Q-linear viscosities need no confirming solve; zm(1) refreezes.  For
+    # degree p > 1 the step builds one viscous_response per step and calls
+    # it once per solve for the stress and tangent together; for p = 1 it
+    # builds none.  No degree evaluates viscous_stress per iterate (the
+    # ledger's dissipation_density calls constitutive.viscous_stress, which
+    # is not counted here)
     import viscolab.pde_solver as mod
     calls = []
+    builds = []
+    responses = []
     stresses = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_shifted(*args, **kwargs)
 
+    def counting_response(*args, **kwargs):
+        builds.append(1)
+        respond = viscous_response(*args, **kwargs)
+
+        def counted(q):
+            responses.append(1)
+            return respond(q)
+
+        return counted
+
     def counting_stress(*args, **kwargs):
         stresses.append(1)
         return viscous_stress(*args, **kwargs)
 
     monkeypatch.setattr(mod, 'solve_shifted', counting)
+    monkeypatch.setattr(mod, 'viscous_response', counting_response)
     monkeypatch.setattr(mod, 'viscous_stress', counting_stress)
     g = build_grid(1, 16)
     st = init_state(g, lambda x: np.array(x, copy=True),
@@ -276,7 +292,9 @@ def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
     semi_implicit_step(st, ConstitutiveModel(EnergyModel.w0(), viscosity), g,
                        SolverConfig(dt=1e-3, t_end=1.0))
     assert (len(calls) == 1) if expect_one else (len(calls) >= 2)
-    assert len(stresses) == (0 if expect_one else len(calls))
+    assert len(builds) == (0 if expect_one else 1)
+    assert len(responses) == (0 if expect_one else len(calls))
+    assert not stresses
 
 
 def test_semi_implicit_step_dense_oracle():
@@ -602,19 +620,26 @@ def test_run_nonlinear_model_with_fd_stress():
 def test_run_records_picard_divergence(monkeypatch):
     # an exploding stress correction must surface as a termination tag
     import viscolab.pde_solver as mod
-    true_stress = mod.viscous_stress
+    true_response = mod.viscous_response
     calls = {'n': 0}
 
-    def explosive(model, f, q):
-        calls['n'] += 1
-        return true_stress(model, f, q) * (10.0 ** calls['n'])
+    def explosive(model, f):
+        respond = true_response(model, f)
 
-    monkeypatch.setattr(mod, 'viscous_stress', explosive)
+        def exploding(q):
+            calls['n'] += 1
+            z, m = respond(q)
+            return z * (10.0 ** calls['n']), m
+
+        return exploding
+
+    monkeypatch.setattr(mod, 'viscous_response', explosive)
     g = build_grid(1, 16)
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
     model = ConstitutiveModel(EnergyModel.w0(), ViscosityModel.zm(1))
     traj = run(model, g, SolverConfig(dt=1e-2, t_end=0.1, picard_max=8), st)
+    assert calls['n'] >= 2
     assert traj.termination.kind == 'picard_divergence'
 
 
