@@ -123,11 +123,6 @@ class AxiomReport:
                 and self.min_dissipation >= -self.tolerance)
 
 
-def _identity_like(f):
-    n = f.shape[-1]
-    return np.broadcast_to(np.eye(n), f.shape)
-
-
 def _penalty(model, d):
     """Determinant penalty g(J) of w1/w2 at J = d > 0, and the factor c(J)
     of its stress D_F g(det F) = g'(J) J F^-T = c(J) F^-T.
@@ -150,7 +145,7 @@ def energy(model, f):
     """
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
-        dev = np.swapaxes(f, -1, -2) @ f - _identity_like(f)
+        dev = np.swapaxes(f, -1, -2) @ f - np.eye(f.shape[-1])
         out = frob(dev, dev)
         return float(out) if out.ndim == 0 else out
     d = np.linalg.det(f)
@@ -171,7 +166,7 @@ def piola_stress(model, f):
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
         c = np.swapaxes(f, -1, -2) @ f
-        return 4.0 * (f @ (c - _identity_like(f)))
+        return 4.0 * (f @ (c - np.eye(f.shape[-1])))
     d = np.linalg.det(f)
     if np.any(d <= 0.0):
         raise DomainError("det F <= 0 outside the energy's smooth domain")

@@ -350,29 +350,18 @@ def stress_divergence(grid, cell_stress):
 class ViscousOperator:
     """w -> -div(M grad w) on clamped nodal vector fields.
 
-    m_cells holds the frozen tangent per cell as (cells..., n^2, n^2).
-    The interior matrix is G_I^T blockdiag(M) G_I, the same composition of
-    gradient_field, the cell-wise tangent and stress_divergence that apply
-    performs matrix-free, all three from the cell table's d.  It is
-    assembled as the sum over cells of D^T M_c D, scattered into the grid's
-    fixed CSR pattern; a shift is added at the diagonal slots after every
-    block.
+    m_cells holds the frozen tangent of every cell as (cells..., n^2, n^2)
+    (identity_tangent broadcasts one map to that shape).  The interior
+    matrix G_I^T blockdiag(M) G_I, the composition of gradient_field, the
+    cell-wise tangent and stress_divergence, is the operator's one
+    statement: it is assembled as the sum over cells of D^T M_c D, with D
+    the cell table's d, scattered into the grid's fixed CSR pattern; a
+    shift is added at the diagonal slots after every block.
     """
 
     def __init__(self, grid, m_cells):
         self.grid = grid
-        n = grid.dim
-        m_cells = np.asarray(m_cells, dtype=float)
-        want = grid.cell_shape + (n * n, n * n)
-        if m_cells.shape != want:
-            m_cells = np.broadcast_to(m_cells, want)
-        self.m_cells = m_cells
-
-    def apply(self, nodal):
-        """Matrix-free -div(M grad w): the oracle tests compare assembly against."""
-        g = gradient_field(self.grid, nodal)
-        stress = self.m_cells @ g.reshape(g.shape[:-2] + (-1, 1))
-        return -stress_divergence(self.grid, stress.reshape(g.shape))
+        self.m_cells = np.asarray(m_cells, dtype=float)
 
     def interior_matrix(self, shift=0.0):
         """shift I + G_I^T blockdiag(M) G_I as a new canonical CSR matrix
@@ -458,6 +447,11 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     dt h^d sum_cells Z(F, G v_new):G v_new and the numerical dissipation
     1/2 h^d sum_nodes |v_new - v^n|^2 to the dissipation ledger; a forced
     step keeps none.
+
+    A right-hand side that is not finite (an overflowing elastic stress,
+    forcing or Z) raises PicardDivergence before its solve: CG's stopping
+    test is never true on NaN, so it would spend its whole iteration cap
+    and report a linear-solver failure instead.
     """
     dt = cfg.dt
     f_cells = gradient_field(grid, state.xi)
@@ -478,10 +472,10 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         else:
             rhs = rhs_fixed
             m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
+        if not np.all(np.isfinite(rhs)):
+            raise PicardDivergence("non-finite right-hand side")
         op = ViscousOperator(grid, m_k)
         v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol, x0_nodal=v_k)
-        if not np.all(np.isfinite(v_new)):
-            raise PicardDivergence("non-finite iterate")
         inc = float(np.max(np.abs(v_new - v_k)))
         if first_inc is None:
             first_inc = inc
@@ -626,20 +620,19 @@ def manufactured_default(dim, amplitude=0.01):
     def shape(x):
         return reduce(np.multiply, [np.sin(pi * x[..., s]) for s in range(dim)])
 
-    def xi(t, x):
-        out = np.array(x, dtype=float).copy()
-        out[..., 0] += a * math.exp(-t) * shape(x)
+    def with_bump(base, coef, x):
+        out = np.array(base, dtype=float)
+        out[..., 0] += coef * shape(x)
         return out
+
+    def xi(t, x):
+        return with_bump(x, a * math.exp(-t), x)
 
     def xi_t(t, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        out[..., 0] = -a * math.exp(-t) * shape(x)
-        return out
+        return with_bump(np.zeros(np.shape(x)), -a * math.exp(-t), x)
 
     def xi_tt(t, x):
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        out[..., 0] = a * math.exp(-t) * shape(x)
-        return out
+        return with_bump(np.zeros(np.shape(x)), a * math.exp(-t), x)
 
     def _bump_grad(t, x, coef):
         # first row of the gradient carries the bump derivative: entry c is

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateQ, DomainError, RangeError, SingularMatrix,
                      Unsupported, require_integer)
-from .tensor_core import EPS_SINGULAR, frob
+from .tensor_core import EPS_SINGULAR, frob, sym
 # viscous_tangent_q stays bound here: perfbench/tracing.py wraps it by this name
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
@@ -152,7 +152,7 @@ def _unit_from_coords(dim, c):
 
 def _lowest_eigh(mats):
     """Smallest eigenvalue and its unit eigenvector of each symmetrized matrix."""
-    w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+    w, v = np.linalg.eigh(sym(mats))
     return w[:, 0], v[..., 0]
 
 
@@ -181,7 +181,7 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     x = np.empty((z, coords.shape[1]))
     for i in range(z):
         nb = np.einsum('qj,ijkl,ql->qik', vecs, t4[i], vecs)
-        low = np.linalg.eigvalsh(0.5 * (nb + np.swapaxes(nb, -1, -2)))[:, 0]
+        low = np.linalg.eigvalsh(sym(nb))[:, 0]
         x[i] = coords[np.argmin(low)]
 
     width = np.pi / angular_resolution
@@ -268,11 +268,12 @@ def closed_form_gamma(model, f0, q0):
         return 0.5 * float(frob(f0, f0))
     if model.m > 2:
         raise Unsupported(f"no catalogued constant for m = {model.m}")
-    a = 0.5 * (q0 @ np.linalg.inv(f0) + np.linalg.inv(f0).T @ q0.T)
+    a = sym(q0 @ np.linalg.inv(f0))
     da = float(np.linalg.det(a))
     if abs(da) <= 1e-12:
         raise DegenerateQ(f"|det sym(Q0 F0^-1)| = {abs(da):.3e} <= 1e-12")
-    ainv2 = float(frob(np.linalg.inv(a), np.linalg.inv(a)))
+    a_inv = np.linalg.inv(a)
+    ainv2 = float(frob(a_inv, a_inv))
     power = ainv2 if model.m == 1 else ainv2 ** 2
     return 2.0 * float(frob(f0, f0)) * power
 

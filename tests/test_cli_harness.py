@@ -96,6 +96,8 @@ def test_parse_errors():
         parse_config("cells = 8\n")                             # no command
     with pytest.raises(ParseError):
         parse_config("command simulate\n")                      # no equals
+    with pytest.raises(ParseError, match="'cells' has no value"):
+        parse_config("command = simulate\ncells =\n")           # no value
     err = None
     try:
         parse_config("command = simulate\ncells = 2\n")
@@ -435,12 +437,33 @@ def test_validate_vtk_rejects_truncated_files(tmp_path):
         bad.write_text(''.join(lines[:-cut]))
         with pytest.raises(ValueError, match=r"^line \d+: file ends"):
             validate_vtk(bad)
-    for row, short in ((5, "POINTS 9\n"), (4, "DIMENSIONS 9 1\n"),
-                       (16, "VECTORS xi\n"), (18, "1 0\n"),
-                       (4, "DIMENSIONS a 1 1\n"), (5, "POINTS x double\n"),
-                       (4, "DIMENSIONS -9 -1 1\n")):
+    for row, short, what in ((0, "# vtk DataFile Version 2.0\n", "header line"),
+                             (5, "POINTS 9\n", "POINTS line"),
+                             (4, "DIMENSIONS 9 1\n", "DIMENSIONS line"),
+                             (16, "VECTORS xi\n", "VECTORS header"),
+                             (18, "1 0\n", "vector row"),
+                             (4, "DIMENSIONS a 1 1\n", "DIMENSIONS line"),
+                             (5, "POINTS x double\n", "POINTS line"),
+                             (4, "DIMENSIONS -9 -1 1\n", "DIMENSIONS line"),
+                             (4, "DIMS 9 1 1\n", "DIMENSIONS line"),
+                             (5, "POINT 9 double\n", "POINTS line"),
+                             (5, "POINTS 9 float\n", "POINTS line"),
+                             (15, "POINT_DATA 8\n", "POINT_DATA line"),
+                             (16, "SCALARS xi double\n", "VECTORS header"),
+                             (26, "VECTORS v float\n", "VECTORS header")):
         bad.write_text(''.join(lines[:row] + [short] + lines[row + 1:]))
-        with pytest.raises(ValueError, match=rf"^line {row + 1}: bad"):
+        with pytest.raises(ValueError, match=rf"^line {row + 1}: bad {what}$"):
+            validate_vtk(bad)
+    for row, short, message in (
+            (2, "BINARY\n", "lines 3-4: not an ASCII structured grid"),
+            (3, "DATASET RECTILINEAR_GRID\n",
+             "lines 3-4: not an ASCII structured grid"),
+            (5, "POINTS 8 double\n",
+             "line 6: point count does not match DIMENSIONS"),
+            (26, "VECTORS u double\n",
+             "expected vector arrays ['xi', 'v'], found ['xi', 'u']")):
+        bad.write_text(''.join(lines[:row] + [short] + lines[row + 1:]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             validate_vtk(bad)
     # a malformed block after a blank line, on a 2D snapshot
     spec = spec_from(tmp_path, "command = simulate\ndim = 2\ncells = 4\n"

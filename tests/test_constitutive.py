@@ -199,6 +199,9 @@ def test_tangent_closed_forms_at_identity():
     for _ in range(5):
         q = rng.standard_normal((2, 2))
         assert np.allclose((t0 @ q.reshape(-1)).reshape(2, 2), sym(q))
+    # one point only; batches go through viscous_tangent_field
+    with pytest.raises(ValueError, match="single matrix"):
+        viscous_tangent_q(ViscosityModel.zm(0), np.ones((3, 2, 2)), np.zeros((3, 2, 2)))
 
 
 @pytest.mark.parametrize("model", ALL_VISCOSITIES)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,8 @@ def test_report_refuses_trajectories_without_ledger():
     with pytest.raises(ValueError, match="ledger"):
         energy_report(heat_extension(grid, x, np.zeros_like(x), 1e-2, 0.1),
                       MODEL, grid)
+    with pytest.raises(ValueError, match="empty trajectory"):
+        energy_report(Trajectory([], Termination('completed')), MODEL, grid)
 
 
 def test_min_det_closed_form():
@@ -156,8 +160,18 @@ def test_theta_monotone_in_window(decay):
 def test_theta_mismatched_sampling(decay):
     grid, traj, ext = decay
     clipped = Trajectory(traj.states[:-3], traj.termination)
-    with pytest.raises(MismatchedSampling):
+    with pytest.raises(MismatchedSampling, match="trajectory vs"):
         theta_norm(clipped, ext, grid, p=4.0)
+    shifted = Trajectory([replace(s, time=s.time + 1e-3) for s in traj.states],
+                         traj.termination)
+    with pytest.raises(MismatchedSampling, match="times differ"):
+        theta_norm(shifted, ext, grid, p=4.0)
+    gap = [Trajectory(t.states[:2] + t.states[3:], t.termination)
+           for t in (traj, ext)]
+    with pytest.raises(MismatchedSampling, match="uniform snapshot spacing"):
+        theta_norm(*gap, grid, p=4.0)
+    with pytest.raises(MismatchedSampling, match="at least 3 snapshots"):
+        theta_norm(traj, ext, grid, p=4.0, t_max=1e-3)
     with pytest.raises(ValueError):
         theta_norm(traj, ext, grid, p=2.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viscolab.tensor_core import frob, random_rotation, skew, sym
+from viscolab.tensor_core import frob, random_rotation, rotation_sample, skew, sym
 
 
 def test_sym_examples():
@@ -47,6 +47,11 @@ def test_random_rotation_dim1_and_determinism():
     assert np.array_equal(random_rotation(1, seed=5), [[1.0]])
     assert np.array_equal(random_rotation(3, seed=7), random_rotation(3, seed=7))
     assert not np.array_equal(random_rotation(2, seed=7), random_rotation(2, seed=8))
+
+
+def test_rotation_sample_rejects_dim_4():
+    with pytest.raises(ValueError, match="dim must be 1, 2 or 3"):
+        rotation_sample(4, np.random.default_rng(0), 3)
 
 
 def test_random_rotation_preserves_norm():

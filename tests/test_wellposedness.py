@@ -173,6 +173,12 @@ def test_sector_scan_examples():
     assert sector_scan(np.eye(4), 16).elliptic
     neg = sector_scan(-np.eye(4), 360)
     assert not neg.elliptic
+    # 3D directions come from the Fibonacci sphere; the identity map's
+    # acoustic tensor is the identity along every one of them
+    rep3 = sector_scan(np.eye(9), 360)
+    assert rep3.min_real_part == pytest.approx(1.0, abs=1e-12)
+    assert rep3.max_abs_arg == 0.0
+    assert rep3.directions_scanned == 360
     with pytest.raises(ValueError):
         sector_scan(SYM2, 2)
 
@@ -257,6 +263,17 @@ def test_check_initial_data_detects_inversion():
     q0[4] = [[-1.0, 0.0], [0.0, np.nan]]
     with pytest.raises(ValueError, match="node 2"):
         check_initial_data(ViscosityModel.zm(1), np.abs(f0), q0)
+
+
+def test_check_initial_data_rejects_malformed_fields():
+    m = ViscosityModel.z0doubleprime()
+    f0 = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+    with pytest.raises(ValueError, match="matching"):
+        check_initial_data(m, f0, np.zeros((3, 2, 2)))
+    with pytest.raises(ValueError, match="matching"):
+        check_initial_data(m, f0[0], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="empty field"):
+        check_initial_data(m, f0[:0], np.zeros((0, 2, 2)))
 
 
 def test_check_initial_data_degenerate_tangent():
