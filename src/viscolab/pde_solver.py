@@ -464,27 +464,31 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     respond = viscous_response(model.viscosity, f_cells) if p > 1 else None
     v_k = state.v
     first_inc = None
-    for _ in range(cfg.picard_max):
-        grad_vk = gradient_field(grid, v_k)
-        if p > 1:
-            z, m_k = respond(grad_vk)
-            rhs = rhs_fixed - (p - 1) * stress_divergence(grid, z)
-        else:
-            rhs = rhs_fixed
-            m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
-        if not np.all(np.isfinite(rhs)):
-            raise PicardDivergence("non-finite right-hand side")
-        op = ViscousOperator(grid, m_k)
-        v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol, x0_nodal=v_k)
-        inc = float(np.max(np.abs(v_new - v_k)))
-        if first_inc is None:
-            first_inc = inc
-        elif inc > 10.0 * max(first_inc, 1e-300):
-            raise PicardDivergence(
-                f"increment grew from {first_inc:.3e} to {inc:.3e}")
-        v_k = v_new
-        if inc <= cfg.picard_tol or p == 1:
-            break
+    # an overflowing nonlinear term ends the step below as PicardDivergence,
+    # not also as numpy's floating-point warnings
+    with np.errstate(over='ignore', invalid='ignore'):
+        for _ in range(cfg.picard_max):
+            grad_vk = gradient_field(grid, v_k)
+            if p > 1:
+                z, m_k = respond(grad_vk)
+                rhs = rhs_fixed - (p - 1) * stress_divergence(grid, z)
+            else:
+                rhs = rhs_fixed
+                m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
+            if not np.all(np.isfinite(rhs)):
+                raise PicardDivergence("non-finite right-hand side")
+            op = ViscousOperator(grid, m_k)
+            v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol,
+                                  x0_nodal=v_k)
+            inc = float(np.max(np.abs(v_new - v_k)))
+            if first_inc is None:
+                first_inc = inc
+            elif inc > 10.0 * max(first_inc, 1e-300):
+                raise PicardDivergence(
+                    f"increment grew from {first_inc:.3e} to {inc:.3e}")
+            v_k = v_new
+            if inc <= cfg.picard_tol or p == 1:
+                break
     dissipated = None
     if forcing is None and state.dissipated is not None:
         dv = v_k - state.v

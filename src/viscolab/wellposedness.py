@@ -25,13 +25,18 @@ from .tensor_core import EPS_SINGULAR, frob, sym
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# cell gammas within this relative distance of the supremum tie for worst_node
+WORST_NODE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CoercivityConfig:
     """Knobs of the coercivity searches on a dim x dim tangent, and the one
     owner of their defaults and ranges: RangeError names the first knob not
-    an integer, else the first out of range (num_directions >= dim + 1)."""
+    an integer, else the first out of range (num_directions >= dim + 1).
+
+    angular_resolution and refine_iters are checked in every dimension but
+    steer only the 3D rank-one search; the 1D and 2D minima are exact."""
 
     dim: int
     angular_resolution: int = 360
@@ -66,7 +71,6 @@ class RankOneResult:
     gamma_est: float           # 1/ratio_min, +inf when ratio_min <= 0
     a_star: np.ndarray
     b_star: np.ndarray
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,9 @@ class SpectrumReport:
 class UniformGammaReport:
     """Cell-wise gamma estimates over a field of frozen tangents.
 
-    worst_node is the index of the worst cell and nodes_checked the number
-    of cells; the names match the byte-stable report.txt keys.
+    worst_node is the index of the worst cell (the lowest one within
+    WORST_NODE_RTOL of gamma_sup) and nodes_checked the number of cells;
+    the names match the byte-stable report.txt keys.
     """
 
     gamma_sup: float
@@ -126,46 +131,133 @@ def _gammas(ratio):
     return out
 
 
-def _sphere_grid(dim, res):
-    if dim == 2:
-        coords = np.linspace(0.0, np.pi, res, endpoint=False)[:, None]
-    else:
-        # midpoint latitudes avoid the polar degeneracy of the chart
-        theta = (np.arange(res) + 0.5) * np.pi / res
-        phi = np.arange(res) * 2.0 * np.pi / res
-        coords = np.stack(np.meshgrid(theta, phi, indexing='ij'),
-                          axis=-1).reshape(-1, 2)
-    return _unit_from_coords(dim, coords), coords
+def _sphere_grid(res):
+    # midpoint latitudes avoid the polar degeneracy of the chart
+    theta = (np.arange(res) + 0.5) * np.pi / res
+    phi = np.arange(res) * 2.0 * np.pi / res
+    coords = np.stack(np.meshgrid(theta, phi, indexing='ij'),
+                      axis=-1).reshape(-1, 2)
+    return _unit_from_coords(coords), coords
 
 
-def _unit_from_coords(dim, c):
-    """Unit vectors of the sphere chart at coordinates c of shape (z, dim - 1)."""
-    out = np.empty((len(c), dim))
-    if dim == 2:
-        out[:, 0], out[:, 1] = np.cos(c[:, 0]), np.sin(c[:, 0])
-        return out
+def _unit_from_coords(c):
+    """Unit vectors of the 3D sphere chart at coordinates c of shape (z, 2)."""
     st = np.sin(c[:, 0])
-    out[:, 0], out[:, 1] = st * np.cos(c[:, 1]), st * np.sin(c[:, 1])
-    out[:, 2] = np.cos(c[:, 0])
-    return out
+    return np.stack((st * np.cos(c[:, 1]), st * np.sin(c[:, 1]),
+                     np.cos(c[:, 0])), axis=1)
 
 
 def _lowest_eigh(mats):
     """Smallest eigenvalue and its unit eigenvector of each symmetrized matrix."""
     w, v = np.linalg.eigh(sym(mats))
-    return w[:, 0], v[..., 0]
+    return w[..., 0], v[..., 0]
+
+
+# With a = (cos al, sin al), a a^T = (E_0 + cos 2al E_1 + sin 2al E_2) / 2 for
+# E = (I, diag(1, -1), [[0, 1], [1, 0]]), so the 2D ratio is [1, u]^T K [1, w]
+# with u, w the doubled angles of a and b, and K_pq = 1/4 sum T_ijkl (E_p)_ik
+# (E_q)_jl is the product of t4.reshape(z, 16) with _K_MAP.
+_E2 = np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
+# axes (p, i, k, q, j, l) -> (i, j, k, l, p, q); an einsum at import raised
+# the peak memory of every process by about 0.2 MB
+_K_MAP = 0.25 * np.multiply.outer(_E2, _E2).transpose(
+    1, 4, 2, 5, 0, 3).reshape(16, 9)
+# w(phi) = (cos phi, sin phi) and w'(phi) times 1 + t^2 for t = tan(phi / 2),
+# as ascending coefficients in t
+_W = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
+_DW = np.array([[0.0, -2.0, 0.0], [1.0, 0.0, -1.0]])
+_ONE_T2 = np.array([1.0, 0.0, 1.0])
+_SAMPLES = 2.0 * np.pi * np.arange(9) / 9
+
+
+def _polymul(x, y):
+    """Ascending coefficients of the products of polynomials on the last axes."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + y.shape[-1] - 1,))
+    for i in range(x.shape[-1]):
+        out[..., i:i + y.shape[-1]] += x[..., i:i + 1] * y
+    return out
+
+
+def _exact_2d(t4):
+    """Closed-form 2D rank-one minimum of each tangent: ratio, a* and b*.
+
+    With the doubled angle phi of b, the minimum over a is
+    h(phi) = K00 + q.w - |r + S w| (q = K[0, 1:], r = K[1:, 0], S = K[1:, 1:]),
+    and its critical points solve (q.w')^2 |r + S w|^2 = ((r + S w).S w')^2,
+    a trigonometric polynomial P of degree 4.  Each member's frame is turned
+    by the psi that puts phi = psi + pi on the largest of P's values at 9
+    equispaced angles; then the polynomial in t = tan((phi - psi) / 2) has
+    degree exactly 8 (its t^8 coefficient is P(psi + pi)), and the roots of
+    all members come from one eigvals on the stack of companion matrices.
+    A polynomial that vanishes to rounding (isotropic and zero tangents, on
+    which h is constant) gets the roots of t^8.
+
+    The candidates for phi are the real parts of all 8 roots, complex ones
+    included; w = -q/|q|, the minimizer when r and S vanish; and 0 and pi,
+    where a mirror-symmetric tangent has double roots that eigvals finds
+    only to about 1e-8.  Each candidate b gets its exact a, and the pair
+    with the smallest Rayleigh value wins, the axes on a tie: h cancels
+    its O(|M|) terms, so it cannot rank candidates whose ratios differ by
+    less than its rounding, and the Rayleigh value can.
+    """
+    # einsum, not a BLAS product, so that every member's K is the same in
+    # any batch: check_initial_data's gammas equal rank_one_min's
+    k = np.einsum('zm,mp->zp', t4.reshape(len(t4), 16), _K_MAP)
+    scale = np.max(np.abs(k), axis=1)
+    k = k.reshape(-1, 3, 3) / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    q, r, s = k[:, 0, 1:], k[:, 1:, 0], k[:, 1:, 1:]
+
+    w = np.stack((np.cos(_SAMPLES), np.sin(_SAMPLES)), axis=1)
+    v = r[:, None] + w @ np.swapaxes(s, 1, 2)
+    dw = w @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    p_at = ((dw @ q[..., None])[..., 0] ** 2 * np.sum(v * v, axis=2)
+            - np.sum(v * (dw @ np.swapaxes(s, 1, 2)), axis=2) ** 2)
+    psi = _SAMPLES[np.argmax(np.abs(p_at), axis=1)] - np.pi
+    c, sn = np.cos(psi), np.sin(psi)
+    rot = np.stack((np.stack((c, -sn), axis=1), np.stack((sn, c), axis=1)),
+                   axis=1)
+    q_rot = (q[:, None] @ rot)[:, 0]
+    s_rot = s @ rot
+
+    qdw = q_rot @ _DW
+    vt = r[..., None] * _ONE_T2 + s_rot @ _W
+    g = _polymul(vt, s_rot @ _DW).sum(axis=1)
+    poly = (_polymul(_polymul(qdw, qdw), _polymul(vt, vt).sum(axis=1))
+            - _polymul(g, g))
+    lead = poly[:, -1]
+    flat = ~(np.abs(lead) > 1e-8 * np.max(np.abs(poly), axis=1))
+    poly = poly / np.where(flat, 1.0, lead)[:, None]
+    poly[flat] = 0.0
+    companion = np.zeros((len(t4), 8, 8))
+    companion[:, np.arange(1, 8), np.arange(7)] = 1.0
+    companion[:, :, -1] = -poly[:, :8]
+    chi = 2.0 * np.arctan(np.linalg.eigvals(companion).real)
+    phi = np.concatenate((np.broadcast_to([0.0, np.pi], (len(t4), 2)),
+                          np.arctan2(-q[:, 1], -q[:, 0])[:, None],
+                          psi[:, None] + chi), axis=1)
+    b = np.stack((np.cos(phi / 2.0), np.sin(phi / 2.0)), axis=-1)
+    a = _lowest_eigh(np.einsum('zijkl,zcj,zcl->zcik', t4, b, b))[1]
+    ratio = np.einsum('zci,zcj,zijkl,zck,zcl->zc', a, b, t4, a, b)
+    best = np.argmin(ratio, axis=1)
+    pick = np.arange(len(t4)), best
+    return ratio[pick], a[pick], b[pick]
 
 
 def _rank_one_batch(t4, angular_resolution, refine_iters):
     """Rank-one minimization for stacked tangents t4 of shape (z, n, n, n, n).
 
-    Returns the arrays ratio (z,), a* and b* (z, n).  Each member's grid
-    scan runs on its own, which keeps memory at one grid.  The golden-section
-    rounds run in lockstep: every member keeps its own bracket and evaluates
-    one new point per iteration.  The alternating eigen-polish is exact block
-    minimization (with one factor fixed, the optimal other factor is the
-    minimal eigenvector of the contracted matrix); a member leaves it once
-    its ratio falls by less than 1e-14.
+    Returns the arrays ratio (z,), a* and b* (z, n); ratio is the Rayleigh
+    value of the returned pair.  For fixed b the minimum over a is exact (the
+    smallest eigenvalue of the b-contracted matrix), so only b is searched.
+    In 2D b is exact too (`_exact_2d`, no angular grid), and
+    angular_resolution and refine_iters, still validated, act only in 3D.
+    There each member's sphere-grid scan runs on its own, which keeps memory
+    at one grid.  The golden-section rounds run in lockstep: every member
+    keeps its own bracket and evaluates one new point per iteration.  The
+    alternating eigen-polish is exact block minimization (with one factor
+    fixed, the optimal other factor is the minimal eigenvector of the
+    contracted matrix); a member leaves it once its ratio falls by less than
+    1e-14.
     """
     z, n = t4.shape[0], t4.shape[1]
     CoercivityConfig(n, angular_resolution=angular_resolution,
@@ -173,11 +265,13 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     if n == 1:
         one = np.ones((z, 1))
         return t4[:, 0, 0, 0, 0], one, one
+    if n == 2:
+        return _exact_2d(t4)
 
     def given_b(t, b):
         return _lowest_eigh(np.einsum('zijkl,zj,zl->zik', t, b, b))
 
-    vecs, coords = _sphere_grid(n, angular_resolution)
+    vecs, coords = _sphere_grid(angular_resolution)
     x = np.empty((z, coords.shape[1]))
     for i in range(z):
         nb = np.einsum('qj,ijkl,ql->qik', vecs, t4[i], vecs)
@@ -190,7 +284,7 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
             def along(s, col=col):
                 y = x.copy()
                 y[:, col] = s
-                return given_b(t4, _unit_from_coords(n, y))[0]
+                return given_b(t4, _unit_from_coords(y))[0]
             lo, hi = x[:, col] - width, x[:, col] + width
             c = hi - _GOLDEN * (hi - lo)
             d = lo + _GOLDEN * (hi - lo)
@@ -206,7 +300,7 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
             x[:, col] = (lo + hi) / 2.0
         width *= 0.5
 
-    b = _unit_from_coords(n, x)
+    b = _unit_from_coords(x)
     a = given_b(t4, b)[1]
     ratio = _ratios(t4, a, b)
     live = np.arange(z)
@@ -228,19 +322,22 @@ def rank_one_min(m, angular_resolution=CoercivityConfig.angular_resolution,
                  refine_iters=CoercivityConfig.refine_iters):
     """Minimize <M(a x b) : a x b> / (|a|^2 |b|^2) over unit vectors a, b.
 
-    For fixed b the ratio is a Rayleigh quotient in a, so its exact minimum
-    is the smallest eigenvalue of the contracted symmetric matrix.  The
-    search therefore scans an exhaustive angular grid over b only
+    ratio_min is the smallest M-eigenvalue of the tangent (Qi, Dai & Han,
+    Front. Math. China 4 (2009) 349-364), the Rayleigh value of the returned
+    pair (a_star, b_star).  For fixed b the ratio is a Rayleigh quotient in
+    a, so its exact minimum is the smallest eigenvalue of the contracted
+    symmetric matrix.  In 1D the ratio is the single entry of M.  In 2D the
+    minimum over b is exact too: the roots of one degree-8 polynomial.  In
+    3D the search scans an exhaustive angular grid over b only
     (angular_resolution points per sphere coordinate), refines the best cell
-    with coordinate-wise golden-section rounds, and finishes with the exact
-    alternating eigen-polish.  gamma_est = 1/ratio_min when the ratio is
-    positive, +inf otherwise.  In 1D the ratio is the single entry of M.
+    with coordinate-wise golden-section rounds (refine_iters), and finishes
+    with the exact alternating eigen-polish.  gamma_est = 1/ratio_min when
+    the ratio is positive, +inf otherwise.
     """
-    t4 = _tensor4(m)
-    ratio, a_star, b_star = _rank_one_batch(t4[None], angular_resolution,
-                                            refine_iters)
+    ratio, a_star, b_star = _rank_one_batch(_tensor4(m)[None],
+                                            angular_resolution, refine_iters)
     return RankOneResult(float(ratio[0]), float(_gammas(ratio)[0]), a_star[0],
-                         b_star[0], angular_resolution ** (t4.shape[0] - 1))
+                         b_star[0])
 
 
 def closed_form_gamma(model, f0, q0):
@@ -377,7 +474,10 @@ def check_initial_data(model, grid_f0, grid_q0,
     equals that of `rank_one_min` on its tangent at the same
     angular_resolution and refine_iters (both take CoercivityConfig's
     defaults).  The report passes when the supremum of the cell gammas is
-    finite.
+    finite.  worst_node is the lowest cell whose gamma lies within
+    WORST_NODE_RTOL of that supremum (relative), so cells that tie to
+    rounding, such as mirror images of one another, name the same cell
+    whichever of them rounds highest; gamma_sup stays the exact maximum.
     """
     f0 = np.asarray(grid_f0, dtype=float)
     q0 = np.asarray(grid_q0, dtype=float)
@@ -405,6 +505,7 @@ def check_initial_data(model, grid_f0, grid_q0,
                             refine_iters)[0]
     # numpy 2.0.0 returns inverse as a column for axis=0
     gammas = _gammas(ratio)[inverse.reshape(-1)]
-    worst = int(np.argmax(gammas))
-    return UniformGammaReport(float(np.max(gammas)), float(np.min(gammas)),
-                              worst, int(f0.shape[0]))
+    sup = np.max(gammas)
+    worst = int(np.argmax(gammas >= sup * (1.0 - WORST_NODE_RTOL)))
+    return UniformGammaReport(float(sup), float(np.min(gammas)), worst,
+                              int(f0.shape[0]))

@@ -327,27 +327,45 @@ def test_check_non_finite_tangent_exits_2(tmp_path, capsys):
         "viscolab: DomainError: initial data: non-finite tangent at node 0\n")
 
 
+def _run_outside_pytest(tmp_path, command, text):
+    # a fresh process with Python's default warning filters, outside
+    # pytest's warning capture
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = {command}\n{text}")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from viscolab.cli_harness import main; sys.exit(main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    return subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "src"), command,
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("command, text", [
     ("check", "dim = 2\ncells = 8\nviscosity = zm\nviscosity_m = 200\n"
               "preset = sinusoidal\namplitude = 5.0\nmode = 3\n"),
     ("korn", "dim = 2\nf0 = 1e200,0,0,1e200\n"),
 ])
 def test_overflowing_tangent_writes_one_stderr_line(tmp_path, command, text):
-    # outside pytest's warning capture, in a process with Python's default
-    # warning filters, an overflowing tangent is one viscolab: line, not
-    # numpy's RuntimeWarnings followed by it
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"command = {command}\n{text}")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from viscolab.cli_harness import main; sys.exit(main(sys.argv[2:]))")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(REPO / "src"), command,
-         "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    # an overflowing tangent is one viscolab: line, not numpy's
+    # RuntimeWarnings followed by it
+    proc = _run_outside_pytest(tmp_path, command, text)
     assert proc.returncode == 2
     assert proc.stderr.startswith("viscolab: DomainError: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_overflowing_newton_step_writes_no_warning(tmp_path):
+    # the zm(200) stress overflows in the first Newton iterate; the run ends
+    # picard_divergence without numpy's RuntimeWarnings on stderr
+    proc = _run_outside_pytest(
+        tmp_path, "simulate", "dim = 2\ncells = 8\nviscosity = zm\n"
+        "viscosity_m = 200\npreset = sinusoidal\namplitude = 5.0\nmode = 3\n"
+        "dt = 0.001\nt_end = 0.002\n")
+    assert proc.returncode == 4
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "termination = picard_divergence\n" in report
 
 
 class _NoScipy:

@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from viscolab.constitutive import ViscosityModel, random_deformations, viscous_tangent_q
 from viscolab.errors import (DegenerateQ, DomainError, RangeError,
@@ -12,7 +13,7 @@ from viscolab.tensor_core import sym
 from viscolab.wellposedness import (CoercivityConfig, acoustic_spectrum,
                                     check_initial_data, closed_form_gamma,
                                     fourier_korn_sample, rank_one_min,
-                                    sector_scan)
+                                    sector_scan, WORST_NODE_RTOL)
 from viscolab.wellposedness import _gammas, _half_space_modes, _rank_one_batch, _ratios
 
 # the map Q -> sym(Q) in the row-major vectorization; its matrix is symmetric
@@ -21,15 +22,26 @@ TWO_SYM2 = 2.0 * SYM2
 
 
 def dense_scan_oracle(m, count=3600):
-    """Independent brute-force minimum of the rank-one ratio (2D)."""
+    """Independent minimum of the rank-one ratio (2D): the exact minimum over
+    a at each b of a dense angular grid, then a bounded scalar minimization
+    in each of the three lowest grid cells that hold a local minimum."""
     t4 = m.reshape(2, 2, 2, 2)
+
+    def lowest(theta):
+        b = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        nb = np.einsum('ijkl,...j,...l->...ik', t4, b, b)
+        return np.linalg.eigvalsh(sym(nb))[..., 0]
+
     ang = np.arange(count) * np.pi / count
-    vecs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    best = np.inf
-    for b in vecs:
-        nb = np.einsum('ijkl,j,l->ik', t4, b, b)
-        vals = np.einsum('qi,ik,qk->q', vecs, nb, vecs)
-        best = min(best, float(vals.min()))
+    vals = lowest(ang)
+    step = np.pi / count
+    local = np.nonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))[0]
+    best = float(vals.min())
+    for i in local[np.argsort(vals[local])[:3]]:
+        res = minimize_scalar(lambda s: float(lowest(np.array(s))),
+                              bounds=(ang[i] - step, ang[i] + step),
+                              method='bounded', options={'xatol': 1e-12})
+        best = min(best, float(res.fun))
     return best
 
 
@@ -46,6 +58,55 @@ def test_rank_one_sym_against_dense_oracle():
     assert r.gamma_est == pytest.approx(2.0, rel=1e-6)
     # minimizers orthogonal for the symmetric-part map
     assert abs(np.dot(r.a_star, r.b_star)) <= 1e-6
+
+
+@pytest.mark.parametrize("model", [ViscosityModel.z0doubleprime(),
+                                   ViscosityModel.z0prime(), ViscosityModel.zm(0),
+                                   ViscosityModel.zm(1), ViscosityModel.zm(2)],
+                         ids=lambda m: f"{m.kind}{m.m}")
+def test_rank_one_2d_matches_dense_oracle(model):
+    # the closed-form 2D minimum against the refined scan, relative to max|M|
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        f = random_deformations(2, 1, rng)[0]
+        m = viscous_tangent_q(model, f, rng.standard_normal((2, 2)))
+        scale = np.max(np.abs(m))
+        diff = rank_one_min(m).ratio_min - dense_scan_oracle(m)
+        assert abs(diff) <= 1e-13 * scale
+        assert diff <= 1e-15 * scale
+
+
+# kron(I, C) acts as Q -> Q C, whose ratio |a|^2 b.C b ignores a
+B_ONLY = np.kron(np.eye(2), np.array([[2.0, 1.0], [1.0, 2.0]]))
+# the map whose 3 x 3 form K (ratio [1, cos 2al, sin 2al] K [1, cos phi,
+# sin phi], phi the doubled angle of b) has K00 = 2, q = (1, 0), r = 0 and
+# S = diag(0, 1): h(phi) = 2 + cos phi - |sin phi| has its kinks at phi = 0
+# and pi and its minimum 2 - sqrt 2 at phi = +-3 pi / 4
+_E = np.array([np.eye(2), np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]]])
+KINKED = np.einsum('pq,pik,qjl->ijkl', np.array([[2.0, 1.0, 0.0],
+                                                [0.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0]]),
+                   _E, _E).reshape(4, 4)
+
+
+@pytest.mark.parametrize("m, ratio, b_abs", [
+    (SYM2, 0.5, None),                  # isotropic: every b minimizes
+    (np.zeros((4, 4)), 0.0, None),
+    (np.diag([1.0, 2.0, 3.0, 4.0]), 1.0, [1.0, 0.0]),      # phi = 0
+    (np.diag([4.0, 3.0, 2.0, 1.0]), 1.0, [0.0, 1.0]),      # phi = pi
+    (B_ONLY, 1.0, [2 ** -0.5, 2 ** -0.5]),
+    (KINKED, 2.0 - math.sqrt(2.0),
+     [math.cos(3 * math.pi / 8), math.sin(3 * math.pi / 8)]),
+], ids=["sym", "zero", "phi_0", "phi_pi", "b_only", "kinked"])
+def test_rank_one_2d_degenerate_maps(m, ratio, b_abs):
+    # the polynomial of the first two and of B_ONLY vanishes identically;
+    # the diagonal maps put the minimum where t = tan(phi / 2) is 0 and
+    # infinite, and KINKED has a root of its polynomial at phi = pi
+    with np.errstate(all='raise'):
+        r = rank_one_min(m)
+    assert r.ratio_min == pytest.approx(ratio, abs=1e-14)
+    if b_abs is not None:
+        assert np.abs(r.b_star) == pytest.approx(b_abs, abs=1e-9)
 
 
 def test_rank_one_two_sym():
@@ -333,6 +394,29 @@ def test_check_initial_data_defaults_match_rank_one_min(model):
               for f, q in zip(f0, q0)]
     rep = check_initial_data(model, f0, q0)
     assert rep.gamma_sup == max(single) and rep.gamma_inf == min(single)
+    # the 2D minimum is exact, so the 3D search knobs do not touch it
+    assert check_initial_data(model, f0, q0, angular_resolution=16,
+                              refine_iters=0) == rep
+
+
+def test_worst_node_is_the_lowest_cell_tied_with_the_supremum():
+    # mirror and rotated images of one (Id, Q0) cell share their gamma up to
+    # rounding; a larger Q0 in cell 0 has a smaller gamma
+    model = ViscosityModel.zm(1)
+    q = np.array([[0.4, -1.1], [0.7, 0.2]])
+    flip = np.diag([-1.0, 1.0])
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    images = [q, flip @ q @ flip, turn @ q @ turn.T, q.T]
+    gammas = [rank_one_min(viscous_tangent_q(model, np.eye(2), x)).gamma_est
+              for x in images]
+    assert max(gammas) - min(gammas) <= 1e-12 * max(gammas)
+    # tied cells in ascending gamma order, so the argmax is the last of them
+    q0 = np.array([3.0 * q] + [images[i] for i in np.argsort(gammas, kind='stable')])
+    f0 = np.broadcast_to(np.eye(2), q0.shape).copy()
+    rep = check_initial_data(model, f0, q0)
+    assert rep.worst_node == 1
+    assert rep.gamma_sup == max(gammas)
+    assert rep.gamma_inf < rep.gamma_sup * (1.0 - WORST_NODE_RTOL)
 
 
 @pytest.mark.parametrize("model", [ViscosityModel.z0doubleprime(),
