@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import get_args
 
 import numpy as np
@@ -289,20 +290,31 @@ def write_diagnostics_csv(path, energy_rep, mindet):
             fh.write(','.join(_fmt(float(x)) for x in row) + '\n')
 
 
+def _vtk_table(grid, a):
+    """Rows of a VTK vector table for nodal data a (..., dim), x fastest.
+
+    '%.17g' formats exactly as _fmt; the axes past dim are +0.0 in every
+    row, which '%.17g' writes as 0, so they are fixed text."""
+    row = ' '.join(['%.17g'] * grid.dim + ['0'] * (3 - grid.dim)) + '\n'
+    # VTK orders points with x fastest; our arrays index (ix, iy, iz)
+    axes = list(range(grid.dim))
+    a = a.reshape(grid.node_shape + (grid.dim,))
+    return row * grid.num_nodes % tuple(
+        np.moveaxis(a, axes, axes[::-1]).ravel().tolist())
+
+
+@lru_cache(maxsize=1)
+def _points_text(dim, cells):
+    """The POINTS table, the same in every snapshot of a grid.  One entry:
+    a run writes one grid, and the text grows as the node count."""
+    grid = pde_solver.Grid(dim, cells)
+    return _vtk_table(grid, grid.node_positions())
+
+
 def write_vtk_snapshot(path, grid, state):
     """Legacy-ASCII structured grid with point vectors xi and v."""
     dims = ' '.join(str(n) for n in grid.node_shape + (1,) * (3 - grid.dim))
     npts = grid.num_nodes
-    # '%.17g' formats exactly as _fmt
-    rows = '%.17g %.17g %.17g\n' * npts
-    axes = list(range(grid.dim))
-
-    def table(a):
-        # VTK orders points with x fastest; our arrays index (ix, iy, iz)
-        out = np.zeros(grid.node_shape + (3,))
-        out[..., :grid.dim] = a.reshape(grid.node_shape + (grid.dim,))
-        return rows % tuple(np.moveaxis(out, axes, axes[::-1]).ravel().tolist())
-
     with open(path, 'w', encoding='utf-8', newline='\n') as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"viscolab snapshot t={_fmt(state.time)}\n")
@@ -310,11 +322,11 @@ def write_vtk_snapshot(path, grid, state):
         fh.write("DATASET STRUCTURED_GRID\n")
         fh.write(f"DIMENSIONS {dims}\n")
         fh.write(f"POINTS {npts} double\n")
-        fh.write(table(grid.node_positions()))
+        fh.write(_points_text(grid.dim, grid.cells))
         fh.write(f"POINT_DATA {npts}\n")
         for name, data in (('xi', state.xi), ('v', state.v)):
             fh.write(f"VECTORS {name} double\n")
-            fh.write(table(data))
+            fh.write(_vtk_table(grid, data))
 
 
 def validate_vtk(path):
@@ -511,7 +523,10 @@ _EXIT_BY_TERMINATION = {
 
 
 def cmd_simulate(spec):
-    """Integrate the preset initial data and dump CSV + VTK series."""
+    """Integrate the preset initial data and dump CSV + VTK series.
+
+    A run that does not complete still writes every output, then one stderr
+    line naming its termination, and exits with that termination's code."""
     _prepare_outdir(spec)
     grid = pde_solver.build_grid(spec.dim, spec.cells)
     state = _initial_state(spec, grid)
@@ -524,16 +539,19 @@ def cmd_simulate(spec):
     for k, st in enumerate(traj.states):
         write_vtk_snapshot(os.path.join(spec.out, f'snapshot_{k:04d}.vtk'),
                            grid, st)
+    term = traj.termination
     items = [
         ('command', 'simulate'),
-        ('termination', traj.termination.kind),
-        ('termination_time', 'none' if traj.termination.time is None
-         else _fmt(traj.termination.time)),
+        ('termination', term.kind),
+        ('termination_time', 'none' if term.time is None else _fmt(term.time)),
         ('snapshots', len(traj.states)),
         ('final_min_det', mindet[-1][1]),
     ]
     write_report(os.path.join(spec.out, 'report.txt'), items)
-    return _EXIT_BY_TERMINATION[traj.termination.kind]
+    if term.kind != 'completed':
+        print(f"viscolab: simulate ended with {term.kind} at t = "
+              f"{_fmt(term.time)}", file=sys.stderr)
+    return _EXIT_BY_TERMINATION[term.kind]
 
 
 def _rate_table(errors):

@@ -364,6 +364,8 @@ def test_overflowing_newton_step_writes_no_warning(tmp_path):
         "dt = 0.001\nt_end = 0.002\n")
     assert proc.returncode == 4
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert proc.stderr == ("viscolab: simulate ended with picard_divergence "
+                           "at t = 0\n")
     report = (tmp_path / "o" / "report.txt").read_text()
     assert "termination = picard_divergence\n" in report
 
@@ -540,15 +542,14 @@ def test_vtk_point_ordering_3d(tmp_path):
 
 def per_row_vtk(path, grid, state):
     # the per-number writer that write_vtk_snapshot replaced, kept as oracle
-    nx = grid.cells + 1
-    ny = grid.cells + 1 if grid.dim == 2 else 1
-    npts = nx * ny
-    pos = grid.node_positions().reshape(-1, grid.dim)
-    xi = state.xi.reshape(-1, grid.dim)
-    v = state.v.reshape(-1, grid.dim)
-    if grid.dim == 2:
-        order = np.arange(npts).reshape(nx, ny).T.reshape(-1)
-        pos, xi, v = pos[order], xi[order], v[order]
+    n = grid.cells + 1
+    dims = ' '.join(str(k) for k in [n] * grid.dim + [1] * (3 - grid.dim))
+    npts = grid.num_nodes
+    # x fastest: the node at (ix, iy, iz) is row ix + n iy + n^2 iz
+    order = np.arange(npts).reshape((n,) * grid.dim).transpose().reshape(-1)
+    pos = grid.node_positions().reshape(-1, grid.dim)[order]
+    xi = state.xi.reshape(-1, grid.dim)[order]
+    v = state.v.reshape(-1, grid.dim)[order]
 
     def pad(a):
         out = np.zeros((npts, 3))
@@ -563,7 +564,7 @@ def per_row_vtk(path, grid, state):
         fh.write(f"viscolab snapshot t={fmt(state.time)}\n")
         fh.write("ASCII\n")
         fh.write("DATASET STRUCTURED_GRID\n")
-        fh.write(f"DIMENSIONS {nx} {ny} 1\n")
+        fh.write(f"DIMENSIONS {dims}\n")
         fh.write(f"POINTS {npts} double\n")
         for row in pad(pos):
             fh.write(' '.join(fmt(x) for x in row) + '\n')
@@ -574,31 +575,54 @@ def per_row_vtk(path, grid, state):
                 fh.write(' '.join(fmt(x) for x in row) + '\n')
 
 
-@pytest.mark.parametrize("dim,cells", [(1, 9), (2, 5)])
-def test_vtk_bytes_match_per_row_writer(tmp_path, dim, cells):
-    grid = pde_solver.build_grid(dim, cells)
-    rng = np.random.default_rng(17)
+def random_state(grid, seed, time=0.30000000000000004):
+    rng = np.random.default_rng(seed)
     shape = grid.node_positions().shape
     xi = grid.node_positions() + 1e-3 * rng.standard_normal(shape)
     v = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
     special = np.array([-0.0, 1e-300, 1e+300, -1e-300, 0.1, -2.5])
     v.reshape(-1)[:special.size] = special
-    state = pde_solver.FieldState(0.30000000000000004, xi, v)
+    return pde_solver.FieldState(time, xi, v)
+
+
+def assert_vtk_matches_oracle(tmp_path, grid, state):
     write_vtk_snapshot(tmp_path / "new.vtk", grid, state)
     per_row_vtk(tmp_path / "old.vtk", grid, state)
     new = (tmp_path / "new.vtk").read_bytes()
     assert new == (tmp_path / "old.vtk").read_bytes()
-    assert b"\n-0 " in new or b" -0 " in new
     assert validate_vtk(tmp_path / "new.vtk") == grid.num_nodes
+    return new
 
 
-def test_cmd_simulate_compression_breakdown(tmp_path):
+@pytest.mark.parametrize("dim,cells", [(1, 9), (2, 5), (3, 4)])
+def test_vtk_bytes_match_per_row_writer(tmp_path, dim, cells):
+    grid = pde_solver.build_grid(dim, cells)
+    new = assert_vtk_matches_oracle(tmp_path, grid, random_state(grid, 17))
+    # node 0 of v holds -0.0 first: it prints -0, the padded axes print 0
+    first_v = new.split(b"VECTORS v double\n")[1].split(b"\n")[0].split()
+    assert first_v[0] == b"-0" and first_v[dim:] == [b"0"] * (3 - dim)
+
+
+def test_vtk_bytes_match_across_states_and_grids(tmp_path):
+    # two states on one grid reuse its POINTS text; alternating grids
+    # replace it each time
+    grid = pde_solver.build_grid(2, 5)
+    for seed, time in ((1, 0.0), (2, 0.5)):
+        assert_vtk_matches_oracle(tmp_path, grid, random_state(grid, seed, time))
+    for cells in (5, 6, 5):
+        grid = pde_solver.build_grid(2, cells)
+        assert_vtk_matches_oracle(tmp_path, grid, random_state(grid, cells))
+
+
+def test_cmd_simulate_compression_breakdown(tmp_path, capsys):
     spec = spec_from(tmp_path, "command = simulate\ndim = 1\ncells = 32\n"
                                "preset = compression\nrate = 10\n"
                                "dt = 0.001\nt_end = 0.5\nsave_every = 2\n")
     assert cmd_simulate(spec) == 3
     rep = read_report(tmp_path / "out" / "report.txt")
     assert rep['termination'] == 'det_floor_hit'
+    assert capsys.readouterr().err == (
+        f"viscolab: simulate ended with det_floor_hit at t = {rep['termination_time']}\n")
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
     dets = [float(r.split(',')[5]) for r in rows]
     assert dets[-1] <= 1e-3
