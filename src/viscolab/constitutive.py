@@ -191,11 +191,16 @@ def viscous_stress(model, f, q):
     if model.kind == 'z0doubleprime':
         return 2.0 * (f @ sym(np.swapaxes(f, -1, -2) @ q))
     d, g, gt = _inv_transpose(f)
-    b = sym(q @ g)
     if model.kind == 'z0prime':
-        return 2.0 * d[..., None, None] * (b @ gt)
+        return 2.0 * d[..., None, None] * (sym(q @ g) @ gt)
+    return _zm_stress(model.m, g, gt, q)
+
+
+def _zm_stress(m, g, gt, q):
+    """zm's Z = [sym(Q G)]^(2m+1) G^T from G = F^-1 and its transpose."""
+    b = sym(q @ g)
     power = b
-    for _ in range(2 * model.m):
+    for _ in range(2 * m):
         power = power @ b
     return power @ gt
 
@@ -220,7 +225,8 @@ def viscous_response(model, f):
                                  + (P_j G^T)[a,l] (P_(2m-j) G^T)[k,b],
 
     which is sum_j P_j sym(E_kl G) P_(2m-j) G^T written out.  Both sums run
-    as one batched matrix product over j.
+    as one batched matrix product over j.  respond.dissipation(q) gives
+    Z(F, Q):Q alone, as dissipation_density computes it, from the same F^-1.
     """
     if model.degree == 1:
         raise ValueError("viscous_response needs a viscosity of degree > 1")
@@ -258,6 +264,7 @@ def viscous_response(model, f):
                    order='C')
         return z, m.reshape(lead + (k, k))
 
+    respond.dissipation = lambda q: frob(_zm_stress(model.m, g, gt, q), q)
     return respond
 
 

@@ -12,11 +12,13 @@ holds by construction.  The viscous operator G_I^T blockdiag(M) G_I is
 assembled on a pattern fixed by the grid and built from the same table (see
 _operator_pattern): each cell contributes D^T M_c D, and a cached scatter
 adds those local entries into the slots of a canonical (column-sorted) CSR
-pattern built once per grid, whose read-only indices and indptr every
-assembled matrix shares; that matrix is the one scipy object the module
-builds.  Time stepping is semi-implicit: the elastic stress is explicit,
-the viscous stress is linearized around the frozen tangent D_Q Z and
-refrozen in a short loop inside each step.  That loop is Newton's method:
+pattern built once per grid.  With the pattern the module builds the grid's
+one scipy object, a CSR matrix with no data of its own; every assembly
+hands out a shallow copy of it that owns its freshly assembled data and
+shares the pattern's read-only indices and indptr.  Time stepping is
+semi-implicit: the elastic stress is explicit, the viscous stress is
+linearized around the frozen tangent D_Q Z and refrozen in a short loop
+inside each step.  That loop is Newton's method:
 with the tangent frozen at the current iterate, the shifted operator is the
 exact Jacobian of the step residual, so the increments of a converging step
 fall off quadratically (the picard_* keys, PicardDivergence and the
@@ -26,19 +28,20 @@ grad v^k to p Z(F, grad v^k) and the Newton right-hand side needs only
 -(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.  For
 p > 1 (zm, m >= 1) one constitutive pass per iterate gives Z and the
 tangent together, from a viscous_response built once per step, which takes
-F^-1 once for the step's frozen F.  The frozen tangent is symmetric
-positive semidefinite, so every shifted operator alpha I + L is symmetric
-positive definite, and solve_shifted, the one linear solve of the time step
-and of the heat extension, assembles it as one CSR matrix and runs
-conjugate gradients; a solve that does not converge ends the run as
-'linear_solver_failure'.  The CG loop is the package's own (krylov.cg,
+F^-1 once for the step's frozen F, the dissipation ledger's Z included.
+The frozen tangent is symmetric positive semidefinite, so every shifted
+operator alpha I + L is symmetric positive definite, and solve_shifted, the
+one linear solve of the time step and of the heat extension, assembles it
+as one CSR matrix and runs conjugate gradients; a solve that does not
+converge ends the run as 'linear_solver_failure'.  The CG loop is the package's own (krylov.cg,
 bound here as spla): scipy.sparse.linalg.cg's stopping rule and iterates,
 without importing scipy.sparse.linalg.
 """
 
+import copy
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,7 +253,9 @@ class OperatorPattern:
 
     indices/indptr are the canonical CSR pattern of G_I^T blockdiag(M) G_I
     (each row's columns strictly ascending), and diag holds the slot of each
-    row's diagonal.  Each block
+    row's diagonal.  template is the grid's one scipy object: the CSR matrix
+    on indices/indptr, whose data, a read-only zero-stride view of 0.0,
+    takes no memory; interior_matrix copies it.  Each block
     (first cell, lo, hi, slots) covers SCATTER_BLOCK cells whose local
     entries (cell, a, b) land in the CSR range [lo, hi): slots holds
     slot - lo, or hi - lo (a trash slot) where a or b is a clamped dof.
@@ -260,10 +265,7 @@ class OperatorPattern:
     indptr: np.ndarray
     diag: np.ndarray
     blocks: tuple
-
-    @property
-    def size(self):
-        return self.indptr.size - 1
+    template: sp.csr_matrix
 
 
 @lru_cache(maxsize=8)
@@ -315,9 +317,11 @@ def _operator_pattern(dim, cells):
         slots = np.where(kept, slot - lo, hi - lo).astype(np.int32)
         _read_only(slots)
         blocks.append((first, lo, hi, slots))
-    pattern = OperatorPattern(indices, indptr, diag, tuple(blocks))
-    _read_only(pattern.indices, pattern.indptr, pattern.diag)
-    return pattern
+    _read_only(indices, indptr, diag)
+    zeros = np.broadcast_to(0.0, indices.size)
+    template = sp.csr_matrix((zeros, indices, indptr),
+                             shape=(dofs.size, dofs.size))
+    return OperatorPattern(indices, indptr, diag, tuple(blocks), template)
 
 
 def gradient_field(grid, nodal):
@@ -364,8 +368,10 @@ class ViscousOperator:
         self.m_cells = np.asarray(m_cells, dtype=float)
 
     def interior_matrix(self, shift=0.0):
-        """shift I + G_I^T blockdiag(M) G_I as a new canonical CSR matrix
-        that shares the grid's cached, read-only indices and indptr."""
+        """shift I + G_I^T blockdiag(M) G_I as a canonical CSR matrix: a
+        shallow copy of the grid's cached template that owns its new data and
+        shares the template's read-only indices and indptr, so scipy's
+        constructor runs once per grid, not once per call."""
         pat = _operator_pattern(self.grid.dim, self.grid.cells)
         d = _cell_table(self.grid.dim, self.grid.cells)[2]
         k = self.grid.dim ** 2
@@ -376,8 +382,9 @@ class ViscousOperator:
             data[lo:hi] += np.bincount(slots.reshape(-1), local.reshape(-1),
                                        minlength=hi - lo + 1)[:-1]
         data[pat.diag] += shift
-        return sp.csr_matrix((data, pat.indices, pat.indptr),
-                             shape=(pat.size, pat.size))
+        matrix = copy.copy(pat.template)
+        matrix.data = data
+        return matrix
 
 
 def identity_tangent(grid):
@@ -445,8 +452,9 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     already the solution, so the loop stops after one solve.  Then xi
     advances by dt * v_new.  An unforced step adds
     dt h^d sum_cells Z(F, G v_new):G v_new and the numerical dissipation
-    1/2 h^d sum_nodes |v_new - v^n|^2 to the dissipation ledger; a forced
-    step keeps none.
+    1/2 h^d sum_nodes |v_new - v^n|^2 to the dissipation ledger (for p > 1
+    with Z from the step's viscous_response, so from the same F^-1); a
+    forced step keeps none.
 
     A right-hand side that is not finite (an overflowing elastic stress,
     forcing or Z) raises PicardDivergence before its solve: CG's stopping
@@ -492,7 +500,10 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     dissipated = None
     if forcing is None and state.dissipated is not None:
         dv = v_k - state.v
-        rate = dissipation_density(model.viscosity, f_cells, gradient_field(grid, v_k))
+        density = (respond.dissipation if p > 1
+                   else partial(dissipation_density, model.viscosity, f_cells))
+        # the cell gradient stays a temporary, freed before the new state
+        rate = density(gradient_field(grid, v_k))
         dissipated = state.dissipated + grid.spacing ** grid.dim * (
             dt * float(np.sum(rate)) + 0.5 * float(np.sum(dv * dv)))
     return FieldState(state.time + dt, state.xi + dt * v_k, v_k, dissipated)
@@ -571,6 +582,19 @@ class ExactSolution:
     grad_xi: callable
     grad_xi_t: callable
 
+    def fields_at(self, centers, nodes):
+        """The fields manufactured_forcing reads at a grid's fixed points,
+        as t -> (grad_xi(t, centers), grad_xi_t(t, centers), xi_tt(t, nodes)).
+
+        This one calls the closed forms at every t; a solution that
+        separates in t and x may sample its x factors once instead (as
+        manufactured_default's does), with the same results.
+        """
+        def at(t):
+            return (self.grad_xi(t, centers), self.grad_xi_t(t, centers),
+                    self.xi_tt(t, nodes))
+        return at
+
 
 @dataclass(frozen=True)
 class ManufacturedResult:
@@ -585,16 +609,15 @@ def manufactured_forcing(model, grid, exact):
     The stress fields are evaluated from the exact (analytic) gradients at
     cell centers and pushed through the same discrete divergence the solver
     uses, so the measured error is dominated by the scheme itself rather
-    than by an independent quadrature of the forcing.
+    than by an independent quadrature of the forcing.  The exact fields come
+    from exact.fields_at, set up once for the grid's centers and nodes.
     """
-    centers = grid.cell_centers()
-    nodes = grid.node_positions()
+    fields = exact.fields_at(grid.cell_centers(), grid.node_positions())
 
     def f(t, g):
-        fc = exact.grad_xi(t, centers)
-        qc = exact.grad_xi_t(t, centers)
+        fc, qc, acc = fields(t)
         p = piola_stress(model.energy, fc) + viscous_stress(model.viscosity, fc, qc)
-        return exact.xi_tt(t, nodes) - stress_divergence(g, p)
+        return acc - stress_divergence(g, p)
 
     return f
 
@@ -615,47 +638,79 @@ def manufactured_run(model, grid, cfg, exact):
     return ManufacturedResult(l2, linf, traj)
 
 
+def _sines(x, dim):
+    """s(x), the product over the axes of sin(pi x_s)."""
+    return reduce(np.multiply, [np.sin(np.pi * x[..., s]) for s in range(dim)])
+
+
+def _sine_slopes(x, dim):
+    """The gradient of s as (..., dim): entry c is pi times the per-axis
+    factors in axis order, with cos at axis c."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([reduce(np.multiply,
+                            [(np.cos if s == c else np.sin)(np.pi * x[..., s])
+                             for s in range(dim)], np.pi)
+                     for c in range(dim)], axis=-1)
+
+
+def _with_bump(base, coef, shape):
+    # base plus coef * s in the first component
+    out = np.array(base, dtype=float)
+    out[..., 0] += coef * shape
+    return out
+
+
+def _bump_grad(coef, slopes, identity):
+    # the gradient of coef * s e_1 from the slopes of s, plus I if asked
+    dim = slopes.shape[-1]
+    out = np.zeros(slopes.shape + (dim,))
+    out[..., 0, :] = coef * slopes
+    if identity:
+        for r in range(dim):
+            out[..., r, r] += 1.0
+    return out
+
+
+@dataclass(frozen=True)
+class _SineBump(ExactSolution):
+    """manufactured_default's solution, xi = X + a e^-t s(X) e_1.  It
+    separates in t and X, so fields_at samples s at the nodes and its slopes
+    at the centers once and each t only scales them, with the products of
+    the closed forms in their order, so every bit is theirs."""
+
+    amplitude: float
+
+    def fields_at(self, centers, nodes):
+        a = self.amplitude
+        slopes = _sine_slopes(centers, self.dim)
+        shape = _sines(nodes, self.dim)
+        zeros = np.zeros(np.shape(nodes))
+
+        def at(t):
+            return (_bump_grad(a * math.exp(-t), slopes, True),
+                    _bump_grad(-a * math.exp(-t), slopes, False),
+                    _with_bump(zeros, a * math.exp(-t), shape))
+        return at
+
+
 def manufactured_default(dim, amplitude=0.01):
     """Reference verification case: a decaying product-of-sines bump in the
     first component, clamped on every face of [0,1]^dim."""
     a = amplitude
-    pi = np.pi
-
-    def shape(x):
-        return reduce(np.multiply, [np.sin(pi * x[..., s]) for s in range(dim)])
-
-    def with_bump(base, coef, x):
-        out = np.array(base, dtype=float)
-        out[..., 0] += coef * shape(x)
-        return out
 
     def xi(t, x):
-        return with_bump(x, a * math.exp(-t), x)
+        return _with_bump(x, a * math.exp(-t), _sines(x, dim))
 
     def xi_t(t, x):
-        return with_bump(np.zeros(np.shape(x)), -a * math.exp(-t), x)
+        return _with_bump(np.zeros(np.shape(x)), -a * math.exp(-t), _sines(x, dim))
 
     def xi_tt(t, x):
-        return with_bump(np.zeros(np.shape(x)), a * math.exp(-t), x)
-
-    def _bump_grad(t, x, coef):
-        # first row of the gradient carries the bump derivative: entry c is
-        # pi times the per-axis factors in axis order, with cos at axis c
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (dim, dim))
-        for c in range(dim):
-            out[..., 0, c] = coef * reduce(
-                np.multiply, [(np.cos if s == c else np.sin)(pi * x[..., s])
-                              for s in range(dim)], pi)
-        return out
+        return _with_bump(np.zeros(np.shape(x)), a * math.exp(-t), _sines(x, dim))
 
     def grad_xi(t, x):
-        g = _bump_grad(t, x, a * math.exp(-t))
-        for r in range(dim):
-            g[..., r, r] += 1.0
-        return g
+        return _bump_grad(a * math.exp(-t), _sine_slopes(x, dim), True)
 
     def grad_xi_t(t, x):
-        return _bump_grad(t, x, -a * math.exp(-t))
+        return _bump_grad(-a * math.exp(-t), _sine_slopes(x, dim), False)
 
-    return ExactSolution(dim, xi, xi_t, xi_tt, grad_xi, grad_xi_t)
+    return _SineBump(dim, xi, xi_t, xi_tt, grad_xi, grad_xi_t, a)

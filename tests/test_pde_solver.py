@@ -3,17 +3,20 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from viscolab import krylov
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
-                                   ViscosityModel, piola_stress,
+                                   ViscosityModel, dissipation_density,
+                                   piola_stress,
                                    viscous_response, viscous_stress,
                                    viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                              RangeError)
-from viscolab.pde_solver import (ExactSolution, SolverConfig,
+from viscolab.pde_solver import (ExactSolution, FieldState, SolverConfig,
                                  ViscousOperator, build_grid,
                                  gradient_field,
                                  heat_extension, identity_tangent, init_state,
-                                 manufactured_default, manufactured_run, run,
+                                 manufactured_default, manufactured_forcing,
+                                 manufactured_run, run,
                                  semi_implicit_step, solve_shifted,
                                  stress_divergence, _cell_table,
                                  _interior_vec, _operator_pattern)
@@ -247,12 +250,15 @@ def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
     # it once per solve for the stress and tangent together; for p = 1 it
     # builds none.  No degree evaluates viscous_stress per iterate (the
     # ledger's dissipation_density calls constitutive.viscous_stress, which
-    # is not counted here)
+    # is not counted here).  For p > 1 the whole step, ledger included,
+    # inverts F once
+    import viscolab.constitutive as constitutive
     import viscolab.pde_solver as mod
     calls = []
     builds = []
     responses = []
     stresses = []
+    inversions = []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -266,6 +272,7 @@ def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
             responses.append(1)
             return respond(q)
 
+        counted.dissipation = respond.dissipation
         return counted
 
     def counting_stress(*args, **kwargs):
@@ -275,6 +282,9 @@ def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
     monkeypatch.setattr(mod, 'solve_shifted', counting)
     monkeypatch.setattr(mod, 'viscous_response', counting_response)
     monkeypatch.setattr(mod, 'viscous_stress', counting_stress)
+    inverse = constitutive._inv_transpose
+    monkeypatch.setattr(constitutive, '_inv_transpose',
+                        lambda f: inversions.append(1) or inverse(f))
     g = build_grid(1, 16)
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
@@ -284,6 +294,29 @@ def test_semi_implicit_step_solves_per_step(monkeypatch, viscosity, expect_one):
     assert len(builds) == (0 if expect_one else 1)
     assert len(responses) == (0 if expect_one else len(calls))
     assert not stresses
+    if not expect_one:
+        assert len(inversions) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ledger_matches_dissipation_density(dim):
+    # the ledger of an unforced step is dissipation_density's, bit for bit,
+    # whether its Z comes from the step's viscous_response (p > 1) or not
+    g = build_grid(dim, 8)
+    dt = 1e-3
+    rng = np.random.default_rng(53)
+    st = FieldState(0.0, g.node_positions() + 0.02 * clamped_noise(g, rng),
+                    0.5 * clamped_noise(g, rng), 0.25)
+    for viscosity in (ViscosityModel.z0prime(), ViscosityModel.zm(1),
+                      ViscosityModel.zm(2)):
+        model = ConstitutiveModel(EnergyModel.w0(), viscosity)
+        new = semi_implicit_step(st, model, g, SolverConfig(dt=dt, t_end=1.0))
+        dv = new.v - st.v
+        rate = dissipation_density(viscosity, gradient_field(g, st.xi),
+                                   gradient_field(g, new.v))
+        expected = st.dissipated + g.spacing ** dim * (
+            dt * float(np.sum(rate)) + 0.5 * float(np.sum(dv * dv)))
+        assert new.dissipated == expected
 
 
 def test_semi_implicit_step_dense_oracle():
@@ -492,8 +525,22 @@ def test_solve_shifted_leaves_operator_unchanged():
                           solve_shifted(ViscousOperator(g, m), 7.0, rhs, 1e-10))
 
 
+def constructor_solve(op, alpha, rhs, tol):
+    # solve_shifted's CG on a matrix that scipy's constructor builds from the
+    # assembled arrays, as every solve did before the grid's template
+    a = op.interior_matrix(alpha)
+    rebuilt = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    b = _interior_vec(op.grid, rhs)
+    x, info = krylov.cg(rebuilt, b, rtol=tol, maxiter=max(1000, 2 * b.size))
+    assert info == 0
+    out = np.zeros(op.grid.num_nodes * op.grid.dim)
+    out[_cell_table(op.grid.dim, op.grid.cells)[3]] = x
+    return out.reshape(rhs.shape)
+
+
 def test_solve_shifted_builds_one_csr(monkeypatch):
-    # the shift goes into the one assembled matrix; no second CSR is built
+    # scipy's constructor runs once per grid, when its pattern is built, and
+    # no solve on that grid runs it again, whatever the shift
     import viscolab.pde_solver as mod
     built = []
 
@@ -508,12 +555,52 @@ def test_solve_shifted_builds_one_csr(monkeypatch):
 
     g = build_grid(2, 8)
     rhs = clamped_noise(g, np.random.default_rng(51))
-    expected = solve_shifted(ViscousOperator(g, identity_tangent(g)), 5.0,
-                             rhs, 1e-10)
+    m = viscous_tangent_field(ViscosityModel.z0prime(),
+                              np.broadcast_to(np.eye(2), g.cell_shape + (2, 2)),
+                              np.zeros(g.cell_shape + (2, 2)))
+    ops = [ViscousOperator(g, identity_tangent(g)), ViscousOperator(g, m)]
+    shifts = (5.0, 0.5, 1e3)
+    expected = [constructor_solve(op, alpha, rhs, 1e-10)
+                for op in ops for alpha in shifts]
     monkeypatch.setattr(mod, 'sp', CountingSparse())
-    op = ViscousOperator(g, identity_tangent(g))
-    assert np.array_equal(solve_shifted(op, 5.0, rhs, 1e-10), expected)
-    assert len(built) == 1
+    for warm in (False, True):
+        if not warm:
+            _operator_pattern.cache_clear()
+        del built[:]
+        solved = [solve_shifted(op, alpha, rhs, 1e-10)
+                  for op in ops for alpha in shifts]
+        assert len(built) == (0 if warm else 1)
+        for got, want in zip(solved, expected):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 8), (2, 6), (3, 4)])
+def test_interior_matrix_copies_own_their_data(dim, cells):
+    # every call hands out the template's shallow copy: the same matrix as
+    # scipy's constructor builds from its arrays, with data of its own
+    g = build_grid(dim, cells)
+    k = dim * dim
+    m = np.random.default_rng(54).standard_normal(g.cell_shape + (k, k))
+    op = ViscousOperator(g, m)
+    x = np.random.default_rng(55).standard_normal(_cell_table(dim, cells)[3].size)
+    for shift in (0.0, 1.0 / 1e-3):
+        a, b = op.interior_matrix(shift), op.interior_matrix(shift)
+        built = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+        assert type(a) is type(built)
+        for name in ('data', 'indices', 'indptr'):
+            assert np.array_equal(getattr(a, name), getattr(built, name))
+        assert a.shape == built.shape
+        assert a.has_canonical_format == built.has_canonical_format
+        assert np.array_equal(a @ x, built @ x)
+        for name in ('indices', 'indptr'):
+            assert np.shares_memory(getattr(a, name), getattr(b, name))
+            assert not getattr(a, name).flags.writeable
+        assert a.data.flags.writeable and a.data.flags.owndata
+        assert not np.shares_memory(a.data, b.data)
+        before = b.data.copy()
+        a.data[:] = np.nan
+        assert np.array_equal(b.data, before)
+        assert np.array_equal(op.interior_matrix(shift).data, before)
 
 
 def test_solve_shifted_zero_rhs_fast_path():
@@ -788,7 +875,31 @@ def test_heat_extension_rejects_partial_last_step():
     assert ext.states[-1].time == pytest.approx(0.01)
 
 
+def per_step_forcing(model, grid, exact):
+    # the forcing with every exact field evaluated through the ExactSolution
+    # callables at every t, as manufactured_forcing did before fields_at
+    centers = grid.cell_centers()
+    nodes = grid.node_positions()
+
+    def f(t, g):
+        fc = exact.grad_xi(t, centers)
+        qc = exact.grad_xi_t(t, centers)
+        p = piola_stress(model.energy, fc) + viscous_stress(model.viscosity, fc, qc)
+        return exact.xi_tt(t, nodes) - stress_divergence(g, p)
+
+    return f
+
+
+TIMES = (0.0, 1e-3, 0.37, 2.5)
+
+
+def same_bits(a, b):
+    # array_equal, and the signs of zeros too
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_manufactured_rest_exact():
+    # a hand-built solution: its forcing goes through the callables
     g = build_grid(1, 16)
     exact = ExactSolution(
         dim=1,
@@ -799,6 +910,24 @@ def test_manufactured_rest_exact():
         grad_xi_t=lambda t, x: np.zeros(x.shape[:-1] + (1, 1)))
     res = manufactured_run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1), exact)
     assert res.l2 <= 1e-12 and res.linf <= 1e-12
+    forcing = manufactured_forcing(W0_Z0DP, g, exact)
+    oracle = per_step_forcing(W0_Z0DP, g, exact)
+    for t in TIMES:
+        assert same_bits(forcing(t, g), oracle(t, g))
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 16), (2, 6), (3, 4)])
+def test_sampled_forcing_matches_per_step_evaluation(dim, cells):
+    # manufactured_default's fields are sampled once per grid and scaled at
+    # each t; the forcing keeps every bit of the per-step evaluation
+    g = build_grid(dim, cells)
+    exact = manufactured_default(dim, 0.07)
+    for model in (W0_Z0DP, ConstitutiveModel(EnergyModel.w1(),
+                                             ViscosityModel.zm(1))):
+        forcing = manufactured_forcing(model, g, exact)
+        oracle = per_step_forcing(model, g, exact)
+        for t in TIMES:
+            assert same_bits(forcing(t, g), oracle(t, g))
 
 
 def test_manufactured_default_clamped_and_admissible():
