@@ -12,7 +12,7 @@ from .constitutive import (AxiomReport, ConstitutiveModel, EnergyModel,
                            viscous_tangent_field, viscous_tangent_q)
 from .diagnostics import (EnergyReport, ThetaReport, energy_report,
                           min_det_series, theta_norm)
-from .pde_solver import (ExactSolution, FieldState, Grid, SolverConfig,
+from .pde_solver import (FieldState, Grid, SolverConfig,
                          Termination, Trajectory, build_grid, gradient_field,
                          heat_extension, init_state, manufactured_default,
                          manufactured_run, run, semi_implicit_step,

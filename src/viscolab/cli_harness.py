@@ -140,6 +140,11 @@ def _validate(values):
                  f"needs {nn} comma-separated entries for dim {values['dim']}")
             need(key, all(math.isfinite(x) for x in values[key]),
                  "entries must be finite")
+    if values['f0'] is not None:
+        # the determinant wellposedness takes; one that overflows is +-inf
+        with np.errstate(over='ignore'):
+            det = np.linalg.det(np.reshape(values['f0'], (values['dim'],) * 2))
+        need('f0', det > 0.0, "must have a positive determinant")
     if values['command'] == 'convergence':
         _study_runs(values)
 

@@ -142,8 +142,9 @@ def whole_steps(t_end, dt):
 class SolverConfig:
     """Time step, Newton-loop and CG controls and the determinant floor, and
     the one owner of their defaults and ranges: RangeError names the first key
-    out of range (positivity, a finite dt, whole steps, then picard_max and
-    save_every, each an integer of at least 1)."""
+    out of range (positivity, then finite dt, picard_tol, det_floor and
+    linear_tol, whole steps, then picard_max and save_every, each an integer
+    of at least 1)."""
 
     dt: float
     t_end: float
@@ -157,8 +158,9 @@ class SolverConfig:
         for key in ('dt', 't_end', 'picard_tol', 'det_floor', 'linear_tol'):
             if not getattr(self, key) > 0.0:
                 raise RangeError(key, "must be positive")
-        if not math.isfinite(self.dt):
-            raise RangeError('dt', "must be finite")
+        for key in ('dt', 'picard_tol', 'det_floor', 'linear_tol'):
+            if not math.isfinite(getattr(self, key)):
+                raise RangeError(key, "must be finite")
         if whole_steps(self.t_end, self.dt) is None:
             raise RangeError('t_end',
                              f"must be a whole number of steps dt = {self.dt!r}")
@@ -568,35 +570,6 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
 
 
 @dataclass(frozen=True)
-class ExactSolution:
-    """Closed-form space-time deformation for verification runs.
-
-    xi, xi_t, xi_tt map (t, points) -> (..., dim) values at points of shape
-    (..., dim); grad_xi and grad_xi_t return (..., dim, dim) gradients.
-    """
-
-    dim: int
-    xi: callable
-    xi_t: callable
-    xi_tt: callable
-    grad_xi: callable
-    grad_xi_t: callable
-
-    def fields_at(self, centers, nodes):
-        """The fields manufactured_forcing reads at a grid's fixed points,
-        as t -> (grad_xi(t, centers), grad_xi_t(t, centers), xi_tt(t, nodes)).
-
-        This one calls the closed forms at every t; a solution that
-        separates in t and x may sample its x factors once instead (as
-        manufactured_default's does), with the same results.
-        """
-        def at(t):
-            return (self.grad_xi(t, centers), self.grad_xi_t(t, centers),
-                    self.xi_tt(t, nodes))
-        return at
-
-
-@dataclass(frozen=True)
 class ManufacturedResult:
     l2: float
     linf: float
@@ -610,7 +583,7 @@ def manufactured_forcing(model, grid, exact):
     cell centers and pushed through the same discrete divergence the solver
     uses, so the measured error is dominated by the scheme itself rather
     than by an independent quadrature of the forcing.  The exact fields come
-    from exact.fields_at, set up once for the grid's centers and nodes.
+    from exact.fields_at, sampled once at the grid's centers and nodes.
     """
     fields = exact.fields_at(grid.cell_centers(), grid.node_positions())
 
@@ -672,15 +645,43 @@ def _bump_grad(coef, slopes, identity):
 
 
 @dataclass(frozen=True)
-class _SineBump(ExactSolution):
-    """manufactured_default's solution, xi = X + a e^-t s(X) e_1.  It
-    separates in t and X, so fields_at samples s at the nodes and its slopes
-    at the centers once and each t only scales them, with the products of
-    the closed forms in their order, so every bit is theirs."""
+class _SineBump:
+    """The package's manufactured solution, xi = X + a e^-t s(X) e_1 with
+    s(X) the product over the axes of sin(pi X_s): a decaying bump in the
+    first component, clamped on every face of [0,1]^dim.
 
+    xi, xi_t and xi_tt map (t, points) -> (..., dim) values at points of
+    shape (..., dim); grad_xi and grad_xi_t return (..., dim, dim)
+    gradients.
+    """
+
+    dim: int
     amplitude: float
 
+    def xi(self, t, x):
+        return _with_bump(x, self.amplitude * math.exp(-t), _sines(x, self.dim))
+
+    def xi_t(self, t, x):
+        return _with_bump(np.zeros(np.shape(x)), -self.amplitude * math.exp(-t),
+                          _sines(x, self.dim))
+
+    def xi_tt(self, t, x):
+        return _with_bump(np.zeros(np.shape(x)), self.amplitude * math.exp(-t),
+                          _sines(x, self.dim))
+
+    def grad_xi(self, t, x):
+        return _bump_grad(self.amplitude * math.exp(-t),
+                          _sine_slopes(x, self.dim), True)
+
+    def grad_xi_t(self, t, x):
+        return _bump_grad(-self.amplitude * math.exp(-t),
+                          _sine_slopes(x, self.dim), False)
+
     def fields_at(self, centers, nodes):
+        """t -> (grad_xi(t, centers), grad_xi_t(t, centers), xi_tt(t, nodes)),
+        the fields manufactured_forcing reads.  s is sampled at the nodes and
+        its slopes at the centers once, and each t only scales them with the
+        per-point methods' products in their order, so every bit is theirs."""
         a = self.amplitude
         slopes = _sine_slopes(centers, self.dim)
         shape = _sines(nodes, self.dim)
@@ -694,23 +695,6 @@ class _SineBump(ExactSolution):
 
 
 def manufactured_default(dim, amplitude=0.01):
-    """Reference verification case: a decaying product-of-sines bump in the
-    first component, clamped on every face of [0,1]^dim."""
-    a = amplitude
-
-    def xi(t, x):
-        return _with_bump(x, a * math.exp(-t), _sines(x, dim))
-
-    def xi_t(t, x):
-        return _with_bump(np.zeros(np.shape(x)), -a * math.exp(-t), _sines(x, dim))
-
-    def xi_tt(t, x):
-        return _with_bump(np.zeros(np.shape(x)), a * math.exp(-t), _sines(x, dim))
-
-    def grad_xi(t, x):
-        return _bump_grad(a * math.exp(-t), _sine_slopes(x, dim), True)
-
-    def grad_xi_t(t, x):
-        return _bump_grad(-a * math.exp(-t), _sine_slopes(x, dim), False)
-
-    return _SineBump(dim, xi, xi_t, xi_tt, grad_xi, grad_xi_t, a)
+    """Reference verification case, and the one manufactured solution: the
+    decaying product-of-sines bump of _SineBump."""
+    return _SineBump(dim, amplitude)

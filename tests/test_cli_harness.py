@@ -312,6 +312,22 @@ def test_korn_non_finite_tensor_exits_2(tmp_path, capsys, key, entries):
     assert info.value.key == key
 
 
+@pytest.mark.parametrize("dim, f0", [(2, "-1,0,0,1"), (2, "1,2,2,4"),
+                                     (1, "0"), (2, "-1e200,0,0,1e200")],
+                         ids=["det-1", "det0", "1d-det0", "det-overflow"])
+def test_korn_non_positive_det_f0_exits_2(tmp_path, capsys, dim, f0):
+    # korn once certified f0 = -1,0,0,1 as elliptic with gamma_est = 1
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(f"command = korn\ndim = {dim}\nf0 = {f0}\n")
+    with warnings.catch_warnings():     # an overflowing det is not warned
+        warnings.simplefilter("error")
+        assert main(["korn", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "viscolab: key 'f0': must have a positive determinant\n")
+    assert not out.exists()
+
+
 def test_check_non_finite_tangent_exits_2(tmp_path, capsys):
     # zm(200) on a large sinusoidal deformation overflows the cell tangents;
     # check_initial_data raises ValueError, which check reports as korn does
@@ -699,7 +715,10 @@ def test_t_end_must_be_whole_steps(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,key", [("simulate", "dt"), ("convergence", "dt"),
                                          ("convergence", "spatial_dt"),
-                                         ("convergence", "conv_t_end")])
+                                         ("convergence", "conv_t_end"),
+                                         ("simulate", "linear_tol"),
+                                         ("simulate", "picard_tol"),
+                                         ("simulate", "det_floor")])
 def test_infinite_step_or_window_names_its_key(tmp_path, capsys, command, key):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "o"

@@ -11,7 +11,7 @@ from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    viscous_tangent_field)
 from viscolab.errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                              RangeError)
-from viscolab.pde_solver import (ExactSolution, FieldState, SolverConfig,
+from viscolab.pde_solver import (FieldState, SolverConfig,
                                  ViscousOperator, build_grid,
                                  gradient_field,
                                  heat_extension, identity_tangent, init_state,
@@ -679,6 +679,14 @@ def test_solver_config_rejects_nonpositive_tolerances(key, value):
         SolverConfig(dt=1e-3, t_end=1e-2, **{key: value})
 
 
+@pytest.mark.parametrize("key", ["picard_tol", "det_floor", "linear_tol"])
+def test_solver_config_rejects_infinite_tolerances(key):
+    # linear_tol = inf once let every step skip CG and still complete
+    with pytest.raises(RangeError) as info:
+        SolverConfig(dt=1e-3, t_end=1e-2, **{key: np.inf})
+    assert str(info.value) == f"key '{key}': must be finite"
+
+
 def test_run_nonlinear_model_with_fd_stress():
     # exercises the closed-form w1 stress and the genuinely
     # nonlinear viscous tangent (Picard refreezing does real work here)
@@ -876,8 +884,8 @@ def test_heat_extension_rejects_partial_last_step():
 
 
 def per_step_forcing(model, grid, exact):
-    # the forcing with every exact field evaluated through the ExactSolution
-    # callables at every t, as manufactured_forcing did before fields_at
+    # the forcing with every exact field evaluated through the solution's
+    # per-point methods at every t
     centers = grid.cell_centers()
     nodes = grid.node_positions()
 
@@ -899,21 +907,11 @@ def same_bits(a, b):
 
 
 def test_manufactured_rest_exact():
-    # a hand-built solution: its forcing goes through the callables
+    # amplitude 0 is the rest state, which the scheme keeps exactly
     g = build_grid(1, 16)
-    exact = ExactSolution(
-        dim=1,
-        xi=lambda t, x: np.array(x, copy=True),
-        xi_t=lambda t, x: np.zeros_like(x),
-        xi_tt=lambda t, x: np.zeros_like(x),
-        grad_xi=lambda t, x: np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1)),
-        grad_xi_t=lambda t, x: np.zeros(x.shape[:-1] + (1, 1)))
+    exact = manufactured_default(1, 0.0)
     res = manufactured_run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1), exact)
     assert res.l2 <= 1e-12 and res.linf <= 1e-12
-    forcing = manufactured_forcing(W0_Z0DP, g, exact)
-    oracle = per_step_forcing(W0_Z0DP, g, exact)
-    for t in TIMES:
-        assert same_bits(forcing(t, g), oracle(t, g))
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 6), (3, 4)])
