@@ -40,6 +40,8 @@ class RunSpec:
     """A parsed config.  The model keys, the solver keys and the coercivity
     knobs take their defaults from the library objects that own them; dt and
     t_end have no library default, and the rest are the command line's own.
+    CoercivityConfig's angular_resolution and refine_iters are not keys:
+    they steer only the 3D rank-one search, and dim is 1 or 2 here.
     """
 
     command: str
@@ -64,8 +66,6 @@ class RunSpec:
     seed: int = CoercivityConfig.seed
     f0: tuple | None = None
     q0: tuple | None = None
-    angular_resolution: int = CoercivityConfig.angular_resolution
-    refine_iters: int = CoercivityConfig.refine_iters
     num_directions: int = CoercivityConfig.num_directions
     num_fields: int = CoercivityConfig.num_fields
     max_modes: int = CoercivityConfig.max_modes
@@ -125,7 +125,8 @@ def _validate(values):
     need('mode', values['mode'] >= 1, "must be at least 1")
     need('rate', values['rate'] > 0.0, "must be positive")
     need('rate', math.isfinite(values['rate']), "must be finite")
-    CoercivityConfig(**{f.name: values[f.name] for f in fields(CoercivityConfig)})
+    CoercivityConfig(**{key: values[key] for key in (
+        'dim', 'num_directions', 'num_fields', 'max_modes', 'seed')})
     need('levels', values['levels'] >= 2, "needs at least 2 levels")
     if values['fine_cells'] is not None:
         need('fine_cells', values['fine_cells'] >= 4, "must be at least 4")
@@ -451,8 +452,7 @@ def cmd_check(spec):
         # an overflowing tangent is reported below as one DomainError line,
         # not also as numpy's floating-point warnings
         with np.errstate(over='ignore', invalid='ignore'):
-            report = wellposedness.check_initial_data(
-                viscosity, f0, q0, spec.angular_resolution, spec.refine_iters)
+            report = wellposedness.check_initial_data(viscosity, f0, q0)
     except ValueError as exc:   # a non-finite tangent, named by its cell
         raise DomainError(f"initial data: {exc}") from exc
     worst_m = constitutive.viscous_tangent_q(
@@ -491,8 +491,7 @@ def cmd_korn(spec):
         tangent = constitutive.viscous_tangent_q(viscosity, f0, q0)
     if not np.all(np.isfinite(tangent)):
         raise DomainError("the viscous tangent at (f0, q0) overflows")
-    r1 = wellposedness.rank_one_min(tangent, spec.angular_resolution,
-                                    spec.refine_iters)
+    r1 = wellposedness.rank_one_min(tangent)
     sector = wellposedness.sector_scan(tangent, spec.num_directions)
     worst = wellposedness.fourier_korn_sample(tangent, spec.num_fields,
                                               spec.max_modes, spec.seed)
@@ -628,7 +627,7 @@ def main(argv=None):
     try:
         with open(args.config, encoding='utf-8') as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"viscolab: cannot read config: {exc}", file=sys.stderr)
         return 2
     overrides = {key: val for key, val in (('out', args.out), ('seed', args.seed))

@@ -469,12 +469,12 @@ def check_initial_data(model, grid_f0, grid_q0,
 
     grid_f0, grid_q0: arrays of shape (cells, n, n), the cell gradients of
     the initial deformation and velocity, with det F0 > 0 in every cell.
-    Repeated (F0, Q0) pairs are computed once; the distinct tangents are
-    built in one call and searched as one batch, and each cell's gamma
-    equals that of `rank_one_min` on its tangent at the same
-    angular_resolution and refine_iters (both take CoercivityConfig's
-    defaults).  The report passes when the supremum of the cell gammas is
-    finite.  worst_node is the lowest cell whose gamma lies within
+    The tangents of all cells are built in one call and searched as one
+    batch, and each cell's gamma equals that of `rank_one_min` on its
+    tangent at the same angular_resolution and refine_iters (both take
+    CoercivityConfig's defaults), so identical cells get identical gammas.
+    The report passes when the supremum of the cell gammas is finite.
+    worst_node is the lowest cell whose gamma lies within
     WORST_NODE_RTOL of that supremum (relative), so cells that tie to
     rounding, such as mirror images of one another, name the same cell
     whichever of them rounds highest; gamma_sup stays the exact maximum.
@@ -489,22 +489,18 @@ def check_initial_data(model, grid_f0, grid_q0,
     bad = np.nonzero(dets <= 0.0)[0]
     if bad.size:
         raise DomainError(f"det F0 = {dets[bad[0]]:.3e} <= 0 at node {int(bad[0])}")
-    pairs = np.concatenate((f0, q0), axis=1).reshape(f0.shape[0], -1)
-    _, nodes, inverse = np.unique(pairs, axis=0, return_index=True,
-                                  return_inverse=True)
     try:
-        mats = viscous_tangent_field(model, f0[nodes], q0[nodes])
+        mats = viscous_tangent_field(model, f0, q0)
     except SingularMatrix as exc:
         i = int(np.argmax(dets <= EPS_SINGULAR))
         raise SingularMatrix(f"node {i}: det F0 = {dets[i]:.3e}") from exc
     finite = np.all(np.isfinite(mats), axis=(1, 2))
     if not np.all(finite):
-        raise ValueError(f"non-finite tangent at node {nodes[~finite].min()}")
+        raise ValueError(f"non-finite tangent at node {int(np.argmin(finite))}")
     n = f0.shape[-1]
     ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), angular_resolution,
                             refine_iters)[0]
-    # numpy 2.0.0 returns inverse as a column for axis=0
-    gammas = _gammas(ratio)[inverse.reshape(-1)]
+    gammas = _gammas(ratio)
     sup = np.max(gammas)
     worst = int(np.argmax(gammas >= sup * (1.0 - WORST_NODE_RTOL)))
     return UniformGammaReport(float(sup), float(np.min(gammas)), worst,

@@ -53,6 +53,17 @@ def test_readme_key_defaults_match_run_spec():
         assert (value.strip('"') if isinstance(want, str) else float(value)) == want, key
 
 
+def test_readme_example_config_parses():
+    # the fenced key = value example under "## Command line"
+    text = (REPO / 'README.md').read_text(encoding='utf-8')
+    section = text.split('## Command line', 1)[1].split('\n## ', 1)[0]
+    blocks = re.findall(r'```\n(.*?)```', section, re.S)
+    example, = [b for b in blocks if b.startswith('command = ')]
+    spec = parse_config(example)
+    assert (spec.command, spec.preset, spec.t_end, spec.save_every) == (
+        'simulate', 'sinusoidal', 0.2, 20)
+
+
 def test_parse_minimal_defaults():
     spec = parse_config("command = simulate\n")
     assert spec.command == 'simulate'
@@ -168,9 +179,6 @@ OWNED_KEYS = {
     'viscosity': (ViscosityModel, 'kind', 'nope',
                   "must be one of ('zm', 'z0prime', 'z0doubleprime')"),
     'viscosity_m': (ViscosityModel, 'm', -1, "must be nonnegative"),
-    'angular_resolution': (CoercivityConfig, 'angular_resolution', 7,
-                           "must be at least 8"),
-    'refine_iters': (CoercivityConfig, 'refine_iters', -1, "must be nonnegative"),
     'num_directions': (CoercivityConfig, 'num_directions', 1,
                        "must be at least dim + 1 = 2"),
     'num_fields': (CoercivityConfig, 'num_fields', 0, "must be at least 1"),
@@ -206,7 +214,7 @@ def test_model_and_coercivity_ranges_are_checked_by_their_owners(key):
 def test_first_out_of_range_key_keeps_the_parse_order():
     # preset is checked before the coercivity knobs, the model keys first
     with pytest.raises(RangeError) as info:
-        parse_config("command = korn\npreset = bad\nangular_resolution = 4\n")
+        parse_config("command = korn\npreset = bad\nnum_directions = 1\n")
     assert info.value.key == 'preset'
     with pytest.raises(RangeError) as info:
         parse_config("command = korn\nenergy = w9\nenergy_q = 1\ncells = 2\n")
@@ -244,6 +252,20 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, text, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [('angular_resolution', 90),
+                                        ('refine_iters', 3)])
+def test_3d_search_keys_are_unknown(tmp_path, capsys, key, value):
+    # both steer only the 3D rank-one search, and the command line takes
+    # dim 1 or 2; the library keeps them as keywords
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = check\ndim = 2\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"viscolab: line 3: unknown key '{key}'\n")
+    assert not out.exists()
+
+
 def test_benchmark_workload_configs_parse():
     # a stricter parse-time check that rejected a workload would fail every
     # benchmark run of it; the workloads module is read, not changed
@@ -264,8 +286,7 @@ def test_parse_single_level_rejected():
 
 
 def test_cmd_check_rest(tmp_path):
-    spec = spec_from(tmp_path, "command = check\ndim = 2\ncells = 4\n"
-                               "angular_resolution = 90\nrefine_iters = 3\n")
+    spec = spec_from(tmp_path, "command = check\ndim = 2\ncells = 4\n")
     assert cmd_check(spec) == 0
     rep = read_report(tmp_path / "out" / "report.txt")
     # D_Q Z0''(Id, 0) = 2 sym: optimal gamma is 1; the catalogue bound is 2
@@ -277,8 +298,7 @@ def test_cmd_check_rest(tmp_path):
 
 def test_cmd_check_degenerate_tangent(tmp_path):
     spec = spec_from(tmp_path, "command = check\ndim = 2\ncells = 4\n"
-                               "viscosity = zm\nviscosity_m = 1\n"
-                               "angular_resolution = 16\nrefine_iters = 1\n")
+                               "viscosity = zm\nviscosity_m = 1\n")
     assert cmd_check(spec) == 1
     rep = read_report(tmp_path / "out" / "report.txt")
     assert rep['gamma_sup'] == 'inf'
@@ -394,8 +414,7 @@ class _NoScipy:
 def test_check_and_korn_build_no_scipy_object(tmp_path, monkeypatch):
     # neither command assembles or solves, so neither may reach scipy; the
     # grid caches are cleared so that no earlier test's build hides a call
-    texts = {'check': "command = check\ndim = 2\ncells = 8\n"
-                      "angular_resolution = 90\nrefine_iters = 3\n",
+    texts = {'check': "command = check\ndim = 2\ncells = 8\n",
              'korn': "command = korn\ndim = 2\n"}
     for command, text in texts.items():
         cfg = tmp_path / f"{command}.cfg"
@@ -679,6 +698,18 @@ def test_main_command_mismatch(tmp_path):
 
 def test_main_missing_config(tmp_path):
     assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_main_non_utf8_config_exits_2(tmp_path, capsys):
+    # a Latin-1 byte in a comment once escaped main as a traceback, exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"command = korn\n# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main(["korn", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("viscolab: cannot read config: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_main_parse_error_exit(tmp_path):
