@@ -40,8 +40,6 @@ class RunSpec:
     """A parsed config.  The model keys, the solver keys and the coercivity
     knobs take their defaults from the library objects that own them; dt and
     t_end have no library default, and the rest are the command line's own.
-    CoercivityConfig's angular_resolution and refine_iters are not keys:
-    they steer only the 3D rank-one search, and dim is 1 or 2 here.
     """
 
     command: str

@@ -298,15 +298,15 @@ def viscous_tangent_q(model, f0, q0):
     return viscous_tangent_field(model, f0, q0)
 
 
-def random_deformations(dim, count, rng, spread=(0.5, 2.0)):
+def random_deformations(dim, count, rng):
     """Batch of deformation gradients with controlled positive determinant.
 
-    F = R1 diag(d) R2 with singular values uniform in `spread`, so det F > 0
-    with conditioning bounded by spread[1]/spread[0].
+    F = R1 diag(d) R2 with singular values uniform in [0.5, 2), so det F > 0
+    with conditioning bounded by 4.
     """
     r1 = rotation_sample(dim, rng, count)
     r2 = rotation_sample(dim, rng, count)
-    d = rng.uniform(spread[0], spread[1], (count, dim))
+    d = rng.uniform(0.5, 2.0, (count, dim))
     return r1 @ (d[:, :, None] * r2)
 
 

@@ -118,8 +118,8 @@ def theta_norm(traj, extension, grid, p, t_max=None):
     evaluates the extension's own norm, which must vanish as the window
     shrinks.
     """
-    if p <= grid.dim + 2:
-        raise ValueError(f"p must exceed dim + 2 = {grid.dim + 2}")
+    if not grid.dim + 2 < p < np.inf:
+        raise ValueError(f"p must be finite and exceed dim + 2 = {grid.dim + 2}")
     if t_max is not None:
         traj = traj.restrict(t_max)
         extension = extension.restrict(t_max)

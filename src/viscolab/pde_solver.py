@@ -194,6 +194,18 @@ class Trajectory:
         return Trajectory(kept, self.termination)
 
 
+def _clamp_boundary(grid, xi, v):
+    """Check the boundary values of nodal xi and v against the clamped
+    conditions (xi = X, v = 0), then overwrite them exactly, in place."""
+    x = grid.node_positions()
+    bmask = grid.boundary_mask()
+    mism = max(np.max(np.abs(xi[bmask] - x[bmask])), np.max(np.abs(v[bmask])))
+    if mism > CLAMP_TOL:
+        raise BoundaryMismatch(f"boundary violates clamping by {mism:.3e}")
+    xi[bmask] = x[bmask]
+    v[bmask] = 0.0
+
+
 def init_state(grid, xi0, xi1, det_floor):
     """Sample initial deformation/velocity functions onto the grid.
 
@@ -206,12 +218,7 @@ def init_state(grid, xi0, xi1, det_floor):
     v = np.array(xi1(x), dtype=float).reshape(x.shape)
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(v))):
         raise InvalidConfig("initial fields contain non-finite values")
-    bmask = grid.boundary_mask()
-    mism = max(np.max(np.abs(xi[bmask] - x[bmask])), np.max(np.abs(v[bmask])))
-    if mism > CLAMP_TOL:
-        raise BoundaryMismatch(f"boundary violates clamping by {mism:.3e}")
-    xi[bmask] = x[bmask]
-    v[bmask] = 0.0
+    _clamp_boundary(grid, xi, v)
     dets = np.linalg.det(gradient_field(grid, xi))
     if np.min(dets) <= det_floor:
         raise Interpenetration(
@@ -548,18 +555,17 @@ def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
     deformation accumulates it trapezoidally, so the pair plays the role of
     a reference trajectory whose velocity solves the heat equation.  Each
     step is one solve_shifted on the identity tangent at the default
-    linear_tol.  dt, t_end and save_every are checked as in SolverConfig.
+    linear_tol.  dt, t_end and save_every are checked as in SolverConfig;
+    the boundary values of xi0 and xi1 are checked and then overwritten
+    exactly, as in init_state.
     """
     cfg = SolverConfig(dt, t_end, save_every=save_every)
     n_steps = whole_steps(t_end, dt)
-    xi0 = np.asarray(xi0, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    bmask = grid.boundary_mask()
-    if np.max(np.abs(xi1[bmask])) > CLAMP_TOL:
-        raise BoundaryMismatch("extension velocity must vanish on the boundary")
+    xibar = np.array(xi0, dtype=float)
+    v = np.array(xi1, dtype=float)
+    _clamp_boundary(grid, xibar, v)
     op = ViscousOperator(grid, identity_tangent(grid))
-    states = [FieldState(0.0, xi0.copy(), xi1.copy())]
-    xibar, v = xi0.copy(), xi1.copy()
+    states = [FieldState(0.0, xibar, v)]
     for k in range(1, n_steps + 1):
         v_new = solve_shifted(op, 1.0 / dt, v / dt, cfg.linear_tol, x0_nodal=v)
         xibar = xibar + 0.5 * dt * (v + v_new)

@@ -25,34 +25,29 @@ from .tensor_core import EPS_SINGULAR, frob, sym
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the 3D search: sphere-grid points per coordinate, then golden-section rounds
+_SPHERE_RESOLUTION = 360
+_REFINE_ROUNDS = 5
 # cell gammas within this relative distance of the supremum tie for worst_node
 WORST_NODE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CoercivityConfig:
-    """Knobs of the coercivity searches on a dim x dim tangent, and the one
-    owner of their defaults and ranges: RangeError names the first knob not
-    an integer, else the first out of range (num_directions >= dim + 1).
-
-    angular_resolution and refine_iters are checked in every dimension but
-    steer only the 3D rank-one search; the 1D and 2D minima are exact."""
+    """Knobs of the sector scan and the Fourier sampler on a dim x dim
+    tangent, and the one owner of their defaults and ranges: RangeError
+    names the first knob not an integer, else the first out of range
+    (num_directions >= dim + 1).  The rank-one minimum takes no knob."""
 
     dim: int
-    angular_resolution: int = 360
-    refine_iters: int = 5
     num_directions: int = 360
     num_fields: int = 100
     max_modes: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self)[1:]:      # the six counts after dim
+        for f in fields(self)[1:]:      # the four counts after dim
             require_integer(f.name, getattr(self, f.name))
-        if not self.angular_resolution >= 8:
-            raise RangeError('angular_resolution', "must be at least 8")
-        if not self.refine_iters >= 0:
-            raise RangeError('refine_iters', "must be nonnegative")
         if not self.num_directions >= self.dim + 1:
             raise RangeError('num_directions',
                              f"must be at least dim + 1 = {self.dim + 1}")
@@ -243,25 +238,22 @@ def _exact_2d(t4):
     return ratio[pick], a[pick], b[pick]
 
 
-def _rank_one_batch(t4, angular_resolution, refine_iters):
+def _rank_one_batch(t4):
     """Rank-one minimization for stacked tangents t4 of shape (z, n, n, n, n).
 
     Returns the arrays ratio (z,), a* and b* (z, n); ratio is the Rayleigh
     value of the returned pair.  For fixed b the minimum over a is exact (the
     smallest eigenvalue of the b-contracted matrix), so only b is searched.
-    In 2D b is exact too (`_exact_2d`, no angular grid), and
-    angular_resolution and refine_iters, still validated, act only in 3D.
-    There each member's sphere-grid scan runs on its own, which keeps memory
-    at one grid.  The golden-section rounds run in lockstep: every member
-    keeps its own bracket and evaluates one new point per iteration.  The
-    alternating eigen-polish is exact block minimization (with one factor
-    fixed, the optimal other factor is the minimal eigenvector of the
-    contracted matrix); a member leaves it once its ratio falls by less than
-    1e-14.
+    In 2D b is exact too (`_exact_2d`, no angular grid).  In 3D each
+    member's scan of the _SPHERE_RESOLUTION x _SPHERE_RESOLUTION sphere grid
+    runs on its own, which keeps memory at one grid.  The _REFINE_ROUNDS
+    golden-section rounds run in lockstep: every member keeps its own
+    bracket and evaluates one new point per iteration.  The alternating
+    eigen-polish is exact block minimization (with one factor fixed, the
+    optimal other factor is the minimal eigenvector of the contracted
+    matrix); a member leaves it once its ratio falls by less than 1e-14.
     """
     z, n = t4.shape[0], t4.shape[1]
-    CoercivityConfig(n, angular_resolution=angular_resolution,
-                     refine_iters=refine_iters)
     if n == 1:
         one = np.ones((z, 1))
         return t4[:, 0, 0, 0, 0], one, one
@@ -271,15 +263,15 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     def given_b(t, b):
         return _lowest_eigh(np.einsum('zijkl,zj,zl->zik', t, b, b))
 
-    vecs, coords = _sphere_grid(angular_resolution)
+    vecs, coords = _sphere_grid(_SPHERE_RESOLUTION)
     x = np.empty((z, coords.shape[1]))
     for i in range(z):
         nb = np.einsum('qj,ijkl,ql->qik', vecs, t4[i], vecs)
         low = np.linalg.eigvalsh(sym(nb))[:, 0]
         x[i] = coords[np.argmin(low)]
 
-    width = np.pi / angular_resolution
-    for _ in range(refine_iters):
+    width = np.pi / _SPHERE_RESOLUTION
+    for _ in range(_REFINE_ROUNDS):
         for col in range(x.shape[1]):
             def along(s, col=col):
                 y = x.copy()
@@ -318,8 +310,7 @@ def _rank_one_batch(t4, angular_resolution, refine_iters):
     return ratio, a, b
 
 
-def rank_one_min(m, angular_resolution=CoercivityConfig.angular_resolution,
-                 refine_iters=CoercivityConfig.refine_iters):
+def rank_one_min(m):
     """Minimize <M(a x b) : a x b> / (|a|^2 |b|^2) over unit vectors a, b.
 
     ratio_min is the smallest M-eigenvalue of the tangent (Qi, Dai & Han,
@@ -328,14 +319,13 @@ def rank_one_min(m, angular_resolution=CoercivityConfig.angular_resolution,
     a, so its exact minimum is the smallest eigenvalue of the contracted
     symmetric matrix.  In 1D the ratio is the single entry of M.  In 2D the
     minimum over b is exact too: the roots of one degree-8 polynomial.  In
-    3D the search scans an exhaustive angular grid over b only
-    (angular_resolution points per sphere coordinate), refines the best cell
-    with coordinate-wise golden-section rounds (refine_iters), and finishes
-    with the exact alternating eigen-polish.  gamma_est = 1/ratio_min when
-    the ratio is positive, +inf otherwise.
+    3D the search scans a fixed angular grid over b only (360 points per
+    sphere coordinate), refines the best cell with 5 rounds of
+    coordinate-wise golden-section search, and finishes with the exact
+    alternating eigen-polish.  gamma_est = 1/ratio_min when the ratio is
+    positive, +inf otherwise.
     """
-    ratio, a_star, b_star = _rank_one_batch(_tensor4(m)[None],
-                                            angular_resolution, refine_iters)
+    ratio, a_star, b_star = _rank_one_batch(_tensor4(m)[None])
     return RankOneResult(float(ratio[0]), float(_gammas(ratio)[0]), a_star[0],
                          b_star[0])
 
@@ -462,17 +452,14 @@ def fourier_korn_sample(m, num_fields, max_modes, seed):
     return float(worst)
 
 
-def check_initial_data(model, grid_f0, grid_q0,
-                       angular_resolution=CoercivityConfig.angular_resolution,
-                       refine_iters=CoercivityConfig.refine_iters):
+def check_initial_data(model, grid_f0, grid_q0):
     """Cell-wise gamma estimates for the frozen tangents of initial data.
 
     grid_f0, grid_q0: arrays of shape (cells, n, n), the cell gradients of
     the initial deformation and velocity, with det F0 > 0 in every cell.
     The tangents of all cells are built in one call and searched as one
     batch, and each cell's gamma equals that of `rank_one_min` on its
-    tangent at the same angular_resolution and refine_iters (both take
-    CoercivityConfig's defaults), so identical cells get identical gammas.
+    tangent, so identical cells get identical gammas.
     The report passes when the supremum of the cell gammas is finite.
     worst_node is the lowest cell whose gamma lies within
     WORST_NODE_RTOL of that supremum (relative), so cells that tie to
@@ -498,8 +485,7 @@ def check_initial_data(model, grid_f0, grid_q0,
     if not np.all(finite):
         raise ValueError(f"non-finite tangent at node {int(np.argmin(finite))}")
     n = f0.shape[-1]
-    ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n), angular_resolution,
-                            refine_iters)[0]
+    ratio = _rank_one_batch(mats.reshape(-1, n, n, n, n))[0]
     gammas = _gammas(ratio)
     sup = np.max(gammas)
     worst = int(np.argmax(gammas >= sup * (1.0 - WORST_NODE_RTOL)))

@@ -185,7 +185,7 @@ def test_criterion_05_fourier_korn():
         tested.append(viscous_tangent_q(visc, f, q))
     for idx, m in enumerate(tested):
         dim = math.isqrt(len(m))
-        r = rank_one_min(m, angular_resolution=360 if dim == 2 else 48)
+        r = rank_one_min(m)
         if not math.isfinite(r.gamma_est):
             continue
         res = 8 if dim == 2 else 4

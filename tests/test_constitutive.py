@@ -369,6 +369,6 @@ def test_random_deformations_admissible():
     f = random_deformations(3, 100, rng)
     dets = np.linalg.det(f)
     assert dets.min() > 0.0
-    # singular values stay within the requested spread
+    # singular values stay within the fixed range [0.5, 2]
     svals = np.linalg.svd(f, compute_uv=False)
     assert svals.min() >= 0.5 - 1e-12 and svals.max() <= 2.0 + 1e-12

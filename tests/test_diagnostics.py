@@ -176,6 +176,14 @@ def test_theta_mismatched_sampling(decay):
         theta_norm(traj, ext, grid, p=2.0)
 
 
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_theta_rejects_non_finite_p(decay, p):
+    # p = inf once gave theta = d_of_t = 2.0, and p = nan gave NaN
+    grid, traj, ext = decay
+    with pytest.raises(ValueError, match="finite"):
+        theta_norm(traj, ext, grid, p=p)
+
+
 @pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1),
                                       (3, 0), (3, 1), (3, 2)])
 def test_second_space_diff_norm_quadratic_one_axis(dim, axis):

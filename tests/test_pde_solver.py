@@ -868,6 +868,28 @@ def test_heat_extension_requires_clamped_velocity():
         heat_extension(g, np.array(x, copy=True), np.ones_like(x), 1e-2, 0.1)
 
 
+def test_heat_extension_checks_and_clamps_the_deformation():
+    # a boundary node of xi0 at 0.3 instead of 0 was accepted and kept in
+    # every state; init_state rejects the same data
+    g = build_grid(1, 16)
+    x = g.node_positions()
+    xi0 = np.array(x, copy=True)
+    xi0[0] = 0.3
+    with pytest.raises(BoundaryMismatch):
+        heat_extension(g, xi0, np.zeros_like(x), 1e-2, 0.1)
+    with pytest.raises(BoundaryMismatch):
+        init_state(g, lambda y: xi0, np.zeros_like, 1e-3)
+    # an offset within CLAMP_TOL is overwritten exactly, the input untouched
+    xi0[0] = 1e-12
+    v0 = np.sin(np.pi * x)
+    ext = heat_extension(g, xi0, v0, 1e-2, 0.1)
+    assert xi0[0] == 1e-12 and v0[-1] != 0.0
+    bmask = g.boundary_mask()
+    for st in ext.states:
+        assert np.array_equal(st.xi[bmask], x[bmask])
+        assert not st.v[bmask].any()
+
+
 def test_heat_extension_rejects_partial_last_step():
     g = build_grid(1, 8)
     x = g.node_positions()

@@ -1,4 +1,3 @@
-import inspect
 import math
 from dataclasses import fields
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from viscolab import wellposedness
 from viscolab.constitutive import ViscosityModel, random_deformations, viscous_tangent_q
 from viscolab.errors import (DegenerateQ, DomainError, RangeError,
                              SingularMatrix, Unsupported)
@@ -303,14 +303,14 @@ def test_check_initial_data_rest():
     m = ViscosityModel.z0doubleprime()
     f0 = np.broadcast_to(np.eye(2), (9, 2, 2)).copy()
     q0 = np.zeros((9, 2, 2))
-    rep = check_initial_data(m, f0, q0, angular_resolution=90, refine_iters=3)
+    rep = check_initial_data(m, f0, q0)
     assert rep.passed
     assert rep.gamma_sup == pytest.approx(1.0, rel=1e-6)
     # no cell's gamma depends on the rest of its batch: identical cells tie
     assert rep.gamma_inf == rep.gamma_sup
     assert rep.worst_node == 0
 
-    single = check_initial_data(m, f0[:1], q0[:1], angular_resolution=90)
+    single = check_initial_data(m, f0[:1], q0[:1])
     assert single.gamma_sup == single.gamma_inf
 
 
@@ -343,7 +343,7 @@ def test_check_initial_data_degenerate_tangent():
     # m >= 1 at rest: the tangent vanishes, so gamma is infinite -> fail
     m = ViscosityModel.zm(1)
     f0 = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
-    rep = check_initial_data(m, f0, np.zeros((4, 2, 2)), angular_resolution=16)
+    rep = check_initial_data(m, f0, np.zeros((4, 2, 2)))
     assert not rep.passed
     assert math.isinf(rep.gamma_sup)
 
@@ -363,7 +363,11 @@ def test_check_initial_data_names_singular_node():
     (3, ViscosityModel.z0prime(), 24, False),
     (1, ViscosityModel.zm(1), 16, True),
 ])
-def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
+def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest,
+                                                 monkeypatch):
+    # the 3D case scans a coarse sphere grid to stay cheap; 1D and 2D never
+    # read the resolution
+    monkeypatch.setattr(wellposedness, '_SPHERE_RESOLUTION', resolution)
     rng = np.random.default_rng(35)
     f0 = random_deformations(dim, 6, rng)
     q0 = rng.standard_normal((6, dim, dim))
@@ -372,23 +376,22 @@ def test_check_initial_data_equals_batches_of_one(dim, model, resolution, rest):
     if rest:
         # the zm(1) tangent vanishes at Q0 = 0, so that node's gamma is inf
         q0[3] = 0.0
-    single = np.array([rank_one_min(viscous_tangent_q(model, f, q),
-                                    resolution).gamma_est
+    single = np.array([rank_one_min(viscous_tangent_q(model, f, q)).gamma_est
                        for f, q in zip(f0, q0)])
     assert math.isinf(single[3]) == rest
     mats = np.stack([viscous_tangent_q(model, f, q).reshape((dim,) * 4)
                      for f, q in zip(f0, q0)])
-    batch = _gammas(_rank_one_batch(mats, resolution, 5)[0])
+    batch = _gammas(_rank_one_batch(mats)[0])
     assert np.array_equal(batch, single)
-    rep = check_initial_data(model, f0, q0, angular_resolution=resolution)
+    rep = check_initial_data(model, f0, q0)
     assert rep.gamma_sup == single.max() and rep.gamma_inf == single.min()
     assert rep.worst_node == int(np.argmax(single))
     assert rep.nodes_checked == len(f0)
 
 
 @pytest.mark.parametrize("model", [ViscosityModel.z0prime(), ViscosityModel.zm(1)])
-def test_check_initial_data_defaults_match_rank_one_min(model):
-    # both searches run at the same default resolution and refine_iters
+def test_check_initial_data_defaults_match_rank_one_min(model, monkeypatch):
+    # both searches run the same rank-one route
     rng = np.random.default_rng(35)
     f0 = random_deformations(2, 6, rng)
     q0 = rng.standard_normal((6, 2, 2))
@@ -396,9 +399,10 @@ def test_check_initial_data_defaults_match_rank_one_min(model):
               for f, q in zip(f0, q0)]
     rep = check_initial_data(model, f0, q0)
     assert rep.gamma_sup == max(single) and rep.gamma_inf == min(single)
-    # the 2D minimum is exact, so the 3D search knobs do not touch it
-    assert check_initial_data(model, f0, q0, angular_resolution=16,
-                              refine_iters=0) == rep
+    # the 2D minimum is exact, so the 3D search's constants do not touch it
+    monkeypatch.setattr(wellposedness, '_SPHERE_RESOLUTION', 16)
+    monkeypatch.setattr(wellposedness, '_REFINE_ROUNDS', 0)
+    assert check_initial_data(model, f0, q0) == rep
 
 
 def test_worst_node_is_the_lowest_cell_tied_with_the_supremum():
@@ -435,22 +439,13 @@ def test_gamma_dominated_by_closed_form(model):
 
 
 @pytest.mark.parametrize("check, key", [
-    (lambda: rank_one_min(SYM2, angular_resolution=7), 'angular_resolution'),
-    (lambda: rank_one_min(SYM2, refine_iters=-1), 'refine_iters'),
-    (lambda: rank_one_min(SYM2, angular_resolution=10.5), 'angular_resolution'),
-    (lambda: check_initial_data(ViscosityModel.z0prime(), np.eye(2)[None],
-                                np.zeros((1, 2, 2)), refine_iters=-1),
-     'refine_iters'),
     (lambda: sector_scan(SYM2, 2), 'num_directions'),
     (lambda: fourier_korn_sample(SYM2, 0, 2, seed=0), 'num_fields'),
     (lambda: fourier_korn_sample(SYM2, 3, 0, seed=0), 'max_modes'),
     (lambda: fourier_korn_sample(SYM2, 3, 2, seed=-1), 'seed'),
-], ids=['angular_resolution', 'refine_iters', 'integer_angular_resolution',
-        'check_refine_iters',
-        'num_directions', 'num_fields', 'max_modes', 'seed'])
+], ids=['num_directions', 'num_fields', 'max_modes', 'seed'])
 def test_knobs_are_checked_by_coercivity_config(check, key):
-    # a negative refine_iters once ran no golden-section round, and a
-    # negative seed failed inside numpy; both are now RangeErrors
+    # a negative seed once failed inside numpy; it is now a RangeError
     with pytest.raises(RangeError) as info:
         check()
     assert info.value.key == key
@@ -459,16 +454,20 @@ def test_knobs_are_checked_by_coercivity_config(check, key):
 
 @pytest.mark.parametrize("key", [f.name for f in fields(CoercivityConfig)][1:])
 def test_coercivity_counts_must_be_integers(key):
-    # angular_resolution = 10.5 was accepted here and failed in the search
+    # a float count is rejected even when it is whole
     with pytest.raises(RangeError) as info:
         CoercivityConfig(2, **{key: 10.0})
     assert str(info.value) == f"key '{key}': must be an integer"
     assert CoercivityConfig(2, **{key: np.int64(10)})
 
 
-def test_searches_default_to_coercivity_config():
-    defaults = CoercivityConfig(2)
-    for func in (rank_one_min, check_initial_data):
-        params = inspect.signature(func).parameters
-        for key in ('angular_resolution', 'refine_iters'):
-            assert params[key].default == getattr(defaults, key)
+def test_rank_one_searches_take_no_tuning_keywords():
+    # the 3D search reads fixed private constants, not keywords or knobs
+    f0, q0 = np.eye(2)[None], np.zeros((1, 2, 2))
+    for key, value in (('angular_resolution', 360), ('refine_iters', 5)):
+        with pytest.raises(TypeError):
+            rank_one_min(SYM2, **{key: value})
+        with pytest.raises(TypeError):
+            check_initial_data(ViscosityModel.z0prime(), f0, q0, **{key: value})
+    assert [f.name for f in fields(CoercivityConfig)] == [
+        'dim', 'num_directions', 'num_fields', 'max_modes', 'seed']
