@@ -68,7 +68,6 @@ class RunSpec:
     num_fields: int = CoercivityConfig.num_fields
     max_modes: int = CoercivityConfig.max_modes
     levels: int = 3
-    fine_cells: int | None = None
     spatial_dt: float | None = None
     conv_t_end: float | None = None
 
@@ -126,8 +125,6 @@ def _validate(values):
     CoercivityConfig(**{key: values[key] for key in (
         'dim', 'num_directions', 'num_fields', 'max_modes', 'seed')})
     need('levels', values['levels'] >= 2, "needs at least 2 levels")
-    if values['fine_cells'] is not None:
-        need('fine_cells', values['fine_cells'] >= 4, "must be at least 4")
     for key in ('spatial_dt', 'conv_t_end'):
         if values[key] is not None:
             need(key, values[key] > 0.0, "must be positive")
@@ -201,30 +198,29 @@ def solver_config(values):
 
 def _study_defaults(values, seen):
     """Fill in the convergence study's defaults for the keys it reads and
-    the config leaves out: the base cells and dt, spatial_dt and conv_t_end
-    by dim, and fine_cells, the base cells refined levels - 1 times."""
+    the config leaves out: the base cells and dt, spatial_dt and conv_t_end,
+    by dim."""
     one_d = values['dim'] == 1
     study = {'cells': 16 if one_d else 8, 'dt': 2e-2,
              'spatial_dt': 2e-5 if one_d else 2.5e-4, 'conv_t_end': 0.1}
     values.update({key: val for key, val in study.items() if key not in seen})
-    if 'fine_cells' not in seen:
-        values['fine_cells'] = values['cells'] * 2 ** (values['levels'] - 1)
 
 
 def _study_runs(values):
     """(cells, SolverConfig) of each run of the convergence study.
 
     First levels grid refinements of the base cells at spatial_dt over
-    conv_t_end, then levels halvings of dt on fine_cells over twice that
-    window, long enough for the time error to dominate the fixed spatial
-    floor.  Each run saves about four snapshots.  RangeError names
+    conv_t_end, then levels halvings of dt on the finest of those grids over
+    twice that window, long enough for the time error to dominate the fixed
+    spatial floor.  Each run saves about four snapshots.  RangeError names
     conv_t_end when a window is not a whole number of steps.
     """
     window, levels = values['conv_t_end'], values['levels']
     plan = [(values['cells'] * 2 ** lv, values['spatial_dt'], window,
              "must be a whole number of steps spatial_dt")
             for lv in range(levels)]
-    plan += [(values['fine_cells'], values['dt'] / 2 ** lv, 2.0 * window,
+    fine = values['cells'] * 2 ** (levels - 1)
+    plan += [(fine, values['dt'] / 2 ** lv, 2.0 * window,
               "twice it must be a whole number of steps dt")
              for lv in range(levels)]
     runs = []

@@ -112,10 +112,12 @@ def _pair_norm(grid, xi_list, v_list, times, p):
 def theta_norm(traj, extension, grid, p, t_max=None):
     """Deviation monitor of a trajectory relative to its heat extension.
 
-    Second differences replace the continuum derivatives: centered in time
-    (endpoints dropped) and axis-aligned in space; the discrete L_p norm
-    uses the node spacing and snapshot spacing as quadrature weights.  Also
-    evaluates the extension's own norm, which must vanish as the window
+    For traj = run(model, grid, cfg, state0) the extension is
+    heat_extension(grid, cfg, state0), whose snapshots fall at the same
+    times.  Second differences replace the continuum derivatives: centered
+    in time (endpoints dropped) and axis-aligned in space; the discrete L_p
+    norm uses the node spacing and snapshot spacing as quadrature weights.
+    Also evaluates the extension's own norm, which must vanish as the window
     shrinks.
     """
     if not grid.dim + 2 < p < np.inf:

@@ -35,7 +35,8 @@ one linear solve of the time step and of the heat extension, assembles it
 as one CSR matrix and runs conjugate gradients; a solve that does not
 converge ends the run as 'linear_solver_failure'.  The CG loop is the package's own (krylov.cg,
 bound here as spla): scipy.sparse.linalg.cg's stopping rule and iterates,
-without importing scipy.sparse.linalg.
+without importing scipy.sparse.linalg.  The heat extension takes run's
+SolverConfig and initial state, so it is sampled at the run's times.
 """
 
 import copy
@@ -194,31 +195,26 @@ class Trajectory:
         return Trajectory(kept, self.termination)
 
 
-def _clamp_boundary(grid, xi, v):
-    """Check the boundary values of nodal xi and v against the clamped
-    conditions (xi = X, v = 0), then overwrite them exactly, in place."""
-    x = grid.node_positions()
-    bmask = grid.boundary_mask()
-    mism = max(np.max(np.abs(xi[bmask] - x[bmask])), np.max(np.abs(v[bmask])))
-    if mism > CLAMP_TOL:
-        raise BoundaryMismatch(f"boundary violates clamping by {mism:.3e}")
-    xi[bmask] = x[bmask]
-    v[bmask] = 0.0
-
-
 def init_state(grid, xi0, xi1, det_floor):
     """Sample initial deformation/velocity functions onto the grid.
 
-    The callables receive the (..., dim) node coordinate array.  Boundary
+    The callables receive the (..., dim) node coordinate array.  The fields
+    must be finite (checked first: a NaN passes the clamp check), boundary
     values are checked against the clamped conditions (xi = X, v = 0) and
-    then overwritten exactly; the cell determinant floor is enforced.
+    then overwritten exactly, and the cell determinant floor is enforced.
+    run and heat_extension start from the state this returns.
     """
     x = grid.node_positions()
     xi = np.array(xi0(x), dtype=float).reshape(x.shape)
     v = np.array(xi1(x), dtype=float).reshape(x.shape)
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(v))):
         raise InvalidConfig("initial fields contain non-finite values")
-    _clamp_boundary(grid, xi, v)
+    bmask = grid.boundary_mask()
+    mism = max(np.max(np.abs(xi[bmask] - x[bmask])), np.max(np.abs(v[bmask])))
+    if mism > CLAMP_TOL:
+        raise BoundaryMismatch(f"boundary violates clamping by {mism:.3e}")
+    xi[bmask] = x[bmask]
+    v[bmask] = 0.0
     dets = np.linalg.det(gradient_field(grid, xi))
     if np.min(dets) <= det_floor:
         raise Interpenetration(
@@ -548,30 +544,29 @@ def run(model, grid, cfg, state0, forcing=None):
     return Trajectory(states, term)
 
 
-def heat_extension(grid, xi0, xi1, dt, t_end, save_every=1):
+def heat_extension(grid, cfg, state0):
     """Smooth reference path: integrate the heat flow of the initial velocity.
 
-    xi1 diffuses under the clamped discrete Laplacian (implicit Euler); the
-    deformation accumulates it trapezoidally, so the pair plays the role of
-    a reference trajectory whose velocity solves the heat equation.  Each
-    step is one solve_shifted on the identity tangent at the default
-    linear_tol.  dt, t_end and save_every are checked as in SolverConfig;
-    the boundary values of xi0 and xi1 are checked and then overwritten
-    exactly, as in init_state.
+    state0.v diffuses under the clamped discrete Laplacian (implicit Euler);
+    the deformation accumulates it trapezoidally, so the pair plays the role
+    of a reference trajectory whose velocity solves the heat equation.  The
+    arguments are those of run(model, grid, cfg, state0): cfg's dt, t_end and
+    save_every give the extension the run's snapshot times, and each step is
+    one solve_shifted on the identity tangent at cfg.linear_tol.  state0 comes
+    from init_state, which has checked and clamped its fields.  No state
+    keeps a dissipation ledger, the first included.
     """
-    cfg = SolverConfig(dt, t_end, save_every=save_every)
-    n_steps = whole_steps(t_end, dt)
-    xibar = np.array(xi0, dtype=float)
-    v = np.array(xi1, dtype=float)
-    _clamp_boundary(grid, xibar, v)
+    dt = cfg.dt
+    n_steps = whole_steps(cfg.t_end, dt)
     op = ViscousOperator(grid, identity_tangent(grid))
-    states = [FieldState(0.0, xibar, v)]
+    xibar, v = state0.xi, state0.v
+    states = [replace(state0, dissipated=None)]
     for k in range(1, n_steps + 1):
         v_new = solve_shifted(op, 1.0 / dt, v / dt, cfg.linear_tol, x0_nodal=v)
         xibar = xibar + 0.5 * dt * (v + v_new)
         v = v_new
-        if k % save_every == 0 or k == n_steps:
-            states.append(FieldState(k * dt, xibar.copy(), v.copy()))
+        if k % cfg.save_every == 0 or k == n_steps:
+            states.append(FieldState(k * dt, xibar, v))
     return Trajectory(states, Termination('completed'))
 
 

@@ -290,8 +290,9 @@ def test_criterion_08_breakdown_detection():
 def test_criterion_09_theta_monitors():
     grid = build_grid(1, 64)
     state = _decay_state(grid)
-    traj = run(DECAY_MODEL, grid, SolverConfig(dt=1e-3, t_end=0.4), state)
-    ext = heat_extension(grid, state.xi, state.v, 1e-3, 0.4)
+    cfg = SolverConfig(dt=1e-3, t_end=0.4)
+    traj = run(DECAY_MODEL, grid, cfg, state)
+    ext = heat_extension(grid, cfg, state)
     thetas, ds = [], []
     for window in (0.4, 0.2, 0.1, 0.05):
         rep = theta_norm(traj, ext, grid, p=4.0, t_max=window)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import viscolab.pde_solver as pde_solver
-from viscolab.cli_harness import (RunSpec, _rate_table, cmd_check, cmd_convergence,
-                                  cmd_korn, cmd_simulate, main, parse_config,
+from viscolab.cli_harness import (RunSpec, _rate_table, _study_runs, cmd_check,
+                                  cmd_convergence, cmd_korn, cmd_simulate,
+                                  main, parse_config,
                                   validate_vtk, write_vtk_snapshot)
 from viscolab.constitutive import EnergyModel, ViscosityModel
 from viscolab.errors import (InvalidConfig, LinearSolveFailure, ParseError,
@@ -70,19 +71,28 @@ def test_parse_minimal_defaults():
     assert spec.energy == 'w0' and spec.viscosity == 'z0doubleprime'
     assert spec.dim == 1 and spec.cells == 64
     assert spec.dt == 1e-3 and spec.t_end == 1.0
-    assert spec.spatial_dt is None and spec.fine_cells is None
+    assert spec.spatial_dt is None and spec.conv_t_end is None
 
 
 def test_parse_fills_in_the_convergence_study_defaults():
     # the study's own defaults for the keys it reads, where the config is silent
-    spec = parse_config("command = convergence\n")
-    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end,
-            spec.fine_cells) == (16, 2e-2, 2e-5, 0.1, 64)
-    spec = parse_config("command = convergence\ndim = 2\nlevels = 2\n")
-    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end,
-            spec.fine_cells) == (8, 2e-2, 2.5e-4, 0.1, 16)
-    spec = parse_config("command = convergence\ncells = 4\ndt = 0.01\n")
-    assert (spec.cells, spec.dt, spec.fine_cells) == (4, 0.01, 16)
+    # the temporal runs use the finest spatial grid, the base cells refined
+    # levels - 1 times
+    def study(text):
+        spec = parse_config(text)
+        cells = [c for c, _ in _study_runs(vars(spec))]
+        return spec, cells[:spec.levels], cells[spec.levels:]
+
+    spec, spatial, temporal = study("command = convergence\n")
+    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end) == (
+        16, 2e-2, 2e-5, 0.1)
+    assert (spatial, temporal) == ([16, 32, 64], [64] * 3)
+    spec, spatial, temporal = study("command = convergence\ndim = 2\nlevels = 2\n")
+    assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end) == (
+        8, 2e-2, 2.5e-4, 0.1)
+    assert (spatial, temporal) == ([8, 16], [16] * 2)
+    spec, spatial, temporal = study("command = convergence\ncells = 4\ndt = 0.01\n")
+    assert (spec.cells, spec.dt, temporal) == (4, 0.01, [16] * 3)
 
 
 def test_parse_comments_and_values():
@@ -263,6 +273,17 @@ def test_3d_search_keys_are_unknown(tmp_path, capsys, key, value):
     assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
     assert (capsys.readouterr().err
             == f"viscolab: line 3: unknown key '{key}'\n")
+    assert not out.exists()
+
+
+def test_fine_cells_is_an_unknown_key(tmp_path, capsys):
+    # the study's temporal runs always use the finest spatial grid
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = convergence\nlevels = 2\nfine_cells = 64\n")
+    out = tmp_path / "o"
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "viscolab: line 3: unknown key 'fine_cells'\n")
     assert not out.exists()
 
 

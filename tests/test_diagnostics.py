@@ -21,9 +21,8 @@ def decay():
     grid = build_grid(1, 64)
     state = init_state(grid, lambda x: np.array(x, copy=True),
                        lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
-    traj = run(MODEL, grid, SolverConfig(dt=1e-3, t_end=0.4), state)
-    ext = heat_extension(grid, state.xi, state.v, 1e-3, 0.4)
-    return grid, traj, ext
+    cfg = SolverConfig(dt=1e-3, t_end=0.4)
+    return grid, run(MODEL, grid, cfg, state), heat_extension(grid, cfg, state)
 
 
 def test_rest_report_is_zero():
@@ -106,10 +105,11 @@ def test_report_refuses_trajectories_without_ledger():
     assert all(st.dissipated is None for st in forced.states[1:])
     with pytest.raises(ValueError, match="ledger"):
         energy_report(forced, MODEL, grid)
-    x = grid.node_positions()
+    rest = init_state(grid, lambda x: np.array(x, copy=True),
+                      lambda x: np.zeros_like(x), 1e-3)
     with pytest.raises(ValueError, match="ledger"):
-        energy_report(heat_extension(grid, x, np.zeros_like(x), 1e-2, 0.1),
-                      MODEL, grid)
+        energy_report(heat_extension(grid, SolverConfig(dt=1e-2, t_end=0.1),
+                                     rest), MODEL, grid)
     with pytest.raises(ValueError, match="empty trajectory"):
         energy_report(Trajectory([], Termination('completed')), MODEL, grid)
 
@@ -131,8 +131,9 @@ def test_theta_zero_for_rest(decay):
     grid = build_grid(1, 16)
     state = init_state(grid, lambda x: np.array(x, copy=True),
                        lambda x: np.zeros_like(x), 1e-3)
-    traj = run(MODEL, grid, SolverConfig(dt=1e-2, t_end=0.1), state)
-    ext = heat_extension(grid, state.xi, state.v, 1e-2, 0.1)
+    cfg = SolverConfig(dt=1e-2, t_end=0.1)
+    traj = run(MODEL, grid, cfg, state)
+    ext = heat_extension(grid, cfg, state)
     rep = theta_norm(traj, ext, grid, p=4.0)
     assert rep.theta == 0.0
     assert rep.d_of_t == 0.0
@@ -176,6 +177,23 @@ def test_theta_mismatched_sampling(decay):
         theta_norm(traj, ext, grid, p=2.0)
 
 
+@pytest.mark.parametrize("save_every", [1, 7])
+def test_extension_samples_like_run(save_every):
+    # one cfg for both: 30 steps, so with save_every 7 the last snapshot
+    # comes 2 steps after the one at step 28, in the run as in the extension
+    grid = build_grid(1, 16)
+    state = init_state(grid, lambda x: np.array(x, copy=True),
+                       lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
+    cfg = SolverConfig(dt=1e-3, t_end=0.03, save_every=save_every)
+    traj = run(MODEL, grid, cfg, state)
+    ext = heat_extension(grid, cfg, state)
+    assert np.array_equal(ext.times, traj.times)
+    # up to the last whole save interval the spacing is uniform
+    rep = theta_norm(traj, ext, grid, p=4.0, t_max=0.028)
+    assert rep.window == pytest.approx(0.028)
+    assert rep.theta > 0.0
+
+
 @pytest.mark.parametrize("p", [np.inf, np.nan])
 def test_theta_rejects_non_finite_p(decay, p):
     # p = inf once gave theta = d_of_t = 2.0, and p = nan gave NaN
@@ -203,11 +221,12 @@ def test_run_3d_decay_end_to_end():
         grid, lambda x: np.array(x, copy=True),
         lambda x: 0.1 * np.prod(np.sin(np.pi * x), axis=-1)[..., None]
         * np.array([1.0, -0.5, 0.25]), 1e-3)
-    traj = run(MODEL, grid, SolverConfig(dt=1e-3, t_end=0.01), state)
+    cfg = SolverConfig(dt=1e-3, t_end=0.01)
+    traj = run(MODEL, grid, cfg, state)
     assert traj.termination.kind == 'completed'
     assert len(traj.states) == 11
     rep = energy_report(traj, MODEL, grid)
     assert np.all(np.diff(rep.kinetic + rep.elastic) <= 0.0)
     assert np.all(np.diff(rep.dissipated_cumulative) >= 0.0)
-    ext = heat_extension(grid, state.xi, state.v, 1e-3, 0.01)
+    ext = heat_extension(grid, cfg, state)
     assert np.isfinite(theta_norm(traj, ext, grid, p=6.0).theta)

@@ -95,19 +95,33 @@ def test_init_state_rejects_unclamped():
     with pytest.raises(BoundaryMismatch):
         init_state(g, lambda x: np.array(x, copy=True),
                    lambda x: np.ones_like(x), 1e-3)
+    # an offset within CLAMP_TOL is overwritten exactly
+    st = init_state(g, lambda x: x + 1e-12, lambda x: np.full_like(x, 1e-12),
+                    1e-3)
+    bmask = g.boundary_mask()
+    assert np.array_equal(st.xi[bmask], g.node_positions()[bmask])
+    assert not st.v[bmask].any()
 
 
 def test_init_state_rejects_non_finite_fields():
     g = build_grid(1, 8)
 
-    def with_nan(x):
-        out = np.array(x, copy=True)
-        out[3] = np.nan
-        return out
-    with pytest.raises(InvalidConfig, match="non-finite"):
-        init_state(g, with_nan, lambda x: np.zeros_like(x), 1e-3)
-    with pytest.raises(InvalidConfig, match="non-finite"):
-        init_state(g, lambda x: np.array(x, copy=True), with_nan, 1e-3)
+    def identity(x):
+        return np.array(x, copy=True)
+
+    def with_nan(field, node):
+        def sampled(x):
+            out = field(x)
+            out[node] = np.nan
+            return out
+        return sampled
+    # node 0 is clamped: the finite check runs before the clamp check, which
+    # a NaN passes, and before the clamp, which would overwrite it
+    for node in (3, 0):
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            init_state(g, with_nan(identity, node), np.zeros_like, 1e-3)
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            init_state(g, identity, with_nan(np.zeros_like, node), 1e-3)
 
 
 def test_gradient_field_affine_exact():
@@ -794,12 +808,12 @@ def test_solve_shifted_raises_when_cg_fails(monkeypatch):
     rhs = clamped_noise(g, np.random.default_rng(47))
     with pytest.raises(LinearSolveFailure):
         solve_shifted(op, 100.0, rhs, 1e-10)
-    x = g.node_positions()
-    with pytest.raises(LinearSolveFailure):
-        heat_extension(g, np.array(x, copy=True), rhs, 1e-2, 0.1)
+    cfg = SolverConfig(dt=1e-2, t_end=0.1)
     st = init_state(g, lambda x: np.array(x, copy=True),
                     lambda x: 0.1 * np.sin(np.pi * x), 1e-3)
-    traj = run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1), st)
+    with pytest.raises(LinearSolveFailure):
+        heat_extension(g, cfg, st)
+    traj = run(W0_Z0DP, g, cfg, st)
     assert traj.termination.kind == 'linear_solver_failure'
 
 
@@ -819,7 +833,7 @@ def test_clamping_preserved_bitwise():
 def test_heat_extension_constant_for_zero_velocity():
     g = build_grid(1, 16)
     x = g.node_positions()
-    ext = heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 1e-2, 0.1)
+    ext = heat_extension(g, SolverConfig(dt=1e-2, t_end=0.1), rest_state(g))
     for st in ext.states:
         assert np.array_equal(st.xi, x)
         assert not st.v.any()
@@ -828,13 +842,16 @@ def test_heat_extension_constant_for_zero_velocity():
 def test_heat_extension_eigenmode_decay():
     g = build_grid(1, 64)
     x = g.node_positions()
-    ext = heat_extension(g, np.array(x, copy=True), np.sin(np.pi * x), 1e-4, 0.1)
+    st0 = init_state(g, lambda x: np.array(x, copy=True),
+                     lambda x: np.sin(np.pi * x), 1e-3)
+    ext = heat_extension(g, SolverConfig(dt=1e-4, t_end=0.1), st0)
     peak = np.max(np.abs(ext.states[-1].v))
     assert peak == pytest.approx(np.exp(-np.pi ** 2 * 0.1), abs=5e-3)
     # boundary deformation frozen in time
     bmask = g.boundary_mask()
     for st in ext.states:
         assert np.array_equal(st.xi[bmask], x[bmask])
+        assert not st.v[bmask].any()
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 8)])
@@ -846,7 +863,8 @@ def test_heat_extension_matches_dense_implicit_euler(dim, cells):
     x = g.node_positions()
     v0 = np.sin(np.pi * x) * np.prod(np.sin(np.pi * x), axis=-1, keepdims=True)
     v0[g.boundary_mask()] = 0.0
-    ext = heat_extension(g, np.array(x, copy=True), v0, dt, t_end)
+    st0 = init_state(g, lambda x: np.array(x, copy=True), lambda x: v0, 1e-3)
+    ext = heat_extension(g, SolverConfig(dt=dt, t_end=t_end), st0)
     lap = ViscousOperator(g, identity_tangent(g)).interior_matrix().toarray()
     a = np.eye(lap.shape[0]) / dt + lap
     dofs = _cell_table(dim, cells)[3]
@@ -861,47 +879,10 @@ def test_heat_extension_matches_dense_implicit_euler(dim, cells):
     assert len(ext.states) == 11
 
 
-def test_heat_extension_requires_clamped_velocity():
-    g = build_grid(1, 8)
-    x = g.node_positions()
-    with pytest.raises(BoundaryMismatch):
-        heat_extension(g, np.array(x, copy=True), np.ones_like(x), 1e-2, 0.1)
-
-
-def test_heat_extension_checks_and_clamps_the_deformation():
-    # a boundary node of xi0 at 0.3 instead of 0 was accepted and kept in
-    # every state; init_state rejects the same data
-    g = build_grid(1, 16)
-    x = g.node_positions()
-    xi0 = np.array(x, copy=True)
-    xi0[0] = 0.3
-    with pytest.raises(BoundaryMismatch):
-        heat_extension(g, xi0, np.zeros_like(x), 1e-2, 0.1)
-    with pytest.raises(BoundaryMismatch):
-        init_state(g, lambda y: xi0, np.zeros_like, 1e-3)
-    # an offset within CLAMP_TOL is overwritten exactly, the input untouched
-    xi0[0] = 1e-12
-    v0 = np.sin(np.pi * x)
-    ext = heat_extension(g, xi0, v0, 1e-2, 0.1)
-    assert xi0[0] == 1e-12 and v0[-1] != 0.0
-    bmask = g.boundary_mask()
-    for st in ext.states:
-        assert np.array_equal(st.xi[bmask], x[bmask])
-        assert not st.v[bmask].any()
-
-
 def test_heat_extension_rejects_partial_last_step():
+    # 0.01 / 0.002 is 5 steps up to roundoff, and the last one is saved
     g = build_grid(1, 8)
-    x = g.node_positions()
-    with pytest.raises(InvalidConfig):
-        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.003, 0.01)
-    # dt and save_every are checked as in SolverConfig, not divided by
-    with pytest.raises(InvalidConfig, match="positive"):
-        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.0, 0.01)
-    with pytest.raises(InvalidConfig, match="save_every"):
-        heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.002, 0.01,
-                       save_every=0)
-    ext = heat_extension(g, np.array(x, copy=True), np.zeros_like(x), 0.002, 0.01)
+    ext = heat_extension(g, SolverConfig(dt=0.002, t_end=0.01), rest_state(g))
     assert ext.states[-1].time == pytest.approx(0.01)
 
 
