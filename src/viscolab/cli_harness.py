@@ -199,10 +199,11 @@ def solver_config(values):
 def _study_defaults(values, seen):
     """Fill in the convergence study's defaults for the keys it reads and
     the config leaves out: the base cells and dt, spatial_dt and conv_t_end,
-    by dim."""
+    by dim.  spatial_dt is the step of the second-order spatial runs, small
+    enough that their time error stays below the space error."""
     one_d = values['dim'] == 1
     study = {'cells': 16 if one_d else 8, 'dt': 2e-2,
-             'spatial_dt': 2e-5 if one_d else 2.5e-4, 'conv_t_end': 0.1}
+             'spatial_dt': 1e-4 if one_d else 1e-3, 'conv_t_end': 0.1}
     values.update({key: val for key, val in study.items() if key not in seen})
 
 
@@ -210,10 +211,12 @@ def _study_runs(values):
     """(cells, SolverConfig) of each run of the convergence study.
 
     First levels grid refinements of the base cells at spatial_dt over
-    conv_t_end, then levels halvings of dt on the finest of those grids over
-    twice that window, long enough for the time error to dominate the fixed
-    spatial floor.  Each run saves about four snapshots.  RangeError names
-    conv_t_end when a window is not a whole number of steps.
+    conv_t_end, which cmd_convergence steps at order 2 (SBDF2), then levels
+    halvings of dt on the finest of those grids over twice that window, long
+    enough for the time error to dominate the fixed spatial floor, which it
+    steps at order 1, the scheme simulate uses.  Each run saves about four
+    snapshots.  RangeError names conv_t_end when a window is not a whole
+    number of steps.
     """
     window, levels = values['conv_t_end'], values['levels']
     plan = [(values['cells'] * 2 ** lv, values['spatial_dt'], window,
@@ -560,7 +563,8 @@ def _rate_table(errors):
 
 
 def cmd_convergence(spec):
-    """Manufactured-solution study over grid and time-step halvings.
+    """Manufactured-solution study over grid and time-step halvings: the
+    spatial runs at order 2, the temporal runs at order 1 (see _study_runs).
 
     Invalid initial data raise (exit 2, as in simulate); a run that does not
     complete stops the study with one stderr line and the exit code of its
@@ -571,9 +575,10 @@ def cmd_convergence(spec):
     model = build_model(vars(spec))
     exact = pde_solver.manufactured_default(dim, spec.amplitude)
     errors = []
-    for cells, cfg in runs:
+    for i, (cells, cfg) in enumerate(runs):
         res = pde_solver.manufactured_run(
-            model, pde_solver.build_grid(dim, cells), cfg, exact)
+            model, pde_solver.build_grid(dim, cells), cfg, exact,
+            order=2 if i < spec.levels else 1)
         term = res.trajectory.termination
         if term.kind != 'completed':
             print(f"viscolab: convergence run cells = {cells}, dt = {cfg.dt} "

@@ -37,6 +37,12 @@ converge ends the run as 'linear_solver_failure'.  The CG loop is the package's 
 bound here as spla): scipy.sparse.linalg.cg's stopping rule and iterates,
 without importing scipy.sparse.linalg.  The heat extension takes run's
 SolverConfig and initial state, so it is sampled at the run's times.
+run(..., order=2) steps forced runs with SBDF2 (Ascher, Ruuth & Wetton
+1995): a first-order first step, then BDF2 in the velocity with the
+elastic stress extrapolated, the tangent frozen at F* = 2 F^n - F^(n-1)
+and the shift 3/(2 dt), through the same semi_implicit_step, Newton loop
+and solve; the previous level rides on the state run hands the step.
+The convergence study runs its spatial levels so.
 """
 
 import copy
@@ -117,12 +123,17 @@ def build_grid(dim, cells):
 @dataclass(frozen=True)
 class FieldState:
     """Nodal deformation and velocity at one instant, and the energy the
-    scheme has dissipated since init_state (None where no ledger is kept)."""
+    scheme has dissipated since init_state (None where no ledger is kept).
+
+    previous is the state one step earlier on a state that run hands to a
+    second-order step, and None on every state a trajectory keeps, so no
+    chain of old states stays alive."""
 
     time: float
     xi: np.ndarray
     v: np.ndarray
     dissipated: float | None = None
+    previous: 'FieldState | None' = None
 
 
 def whole_steps(t_end, dt):
@@ -435,9 +446,11 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
 
 
 def semi_implicit_step(state, model, grid, cfg, forcing=None):
-    """One step of the frozen-tangent scheme.
+    """One step of the frozen-tangent scheme: first order (semi-implicit
+    Euler) from a state without a previous level, SBDF2 from one with it.
 
-    With F = grad xi^n and v^0 = v^n, the refreezing loop k = 0, 1, ... solves
+    With F = grad xi^n and v^0 = v^n, the first-order step's refreezing loop
+    k = 0, 1, ... solves
 
         (v_new - v^n)/dt - div(M^k grad v_new)
             = div(DW(F)) + div(Z(F, grad v^k) - M^k grad v^k) + f,
@@ -461,15 +474,39 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     with Z from the step's viscous_response, so from the same F^-1); a
     forced step keeps none.
 
+    When state.previous holds level n - 1, the step is SBDF2, the
+    implicit-explicit BDF2 of Ascher, Ruuth & Wetton (1995):
+
+        (3 v_new - 4 v^n + v^(n-1))/(2 dt)
+            = div(2 DW(F^n) - DW(F^(n-1))) + div Z(F*, grad v_new) + f,
+
+    with F* = 2 F^n - F^(n-1) in place of F in the same Newton loop (for
+    p > 1 through viscous_response(F*)) and the shift 3/(2 dt) in place of
+    1/dt.  xi advances as the increment
+    xi^n + (xi^n - xi^(n-1))/3 + (2 dt/3) v_new, so a rest state stays on
+    the grid bit for bit; such a step keeps no ledger.
+
     A right-hand side that is not finite (an overflowing elastic stress,
     forcing or Z) raises PicardDivergence before its solve: CG's stopping
     test is never true on NaN, so it would spend its whole iteration cap
     and report a linear-solver failure instead.
     """
     dt = cfg.dt
+    prev = state.previous
     f_cells = gradient_field(grid, state.xi)
-    elastic = stress_divergence(grid, piola_stress(model.energy, f_cells))
-    rhs_fixed = state.v / dt + elastic
+    # the stresses stay temporaries, freed before the Newton loop
+    if prev is None:
+        shift = 1.0 / dt
+        rhs_fixed = state.v / dt + stress_divergence(
+            grid, piola_stress(model.energy, f_cells))
+    else:
+        f_prev = gradient_field(grid, prev.xi)
+        shift = 1.5 / dt
+        rhs_fixed = (4.0 * state.v - prev.v) / (2.0 * dt) + stress_divergence(
+            grid, 2.0 * piola_stress(model.energy, f_cells)
+            - piola_stress(model.energy, f_prev))
+        # Z and its tangent are frozen at the extrapolated F*
+        f_cells = 2.0 * f_cells - f_prev
     if forcing is not None:
         rhs_fixed = rhs_fixed + forcing(state.time + dt, grid)
 
@@ -491,8 +528,7 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
             if not np.all(np.isfinite(rhs)):
                 raise PicardDivergence("non-finite right-hand side")
             op = ViscousOperator(grid, m_k)
-            v_new = solve_shifted(op, 1.0 / dt, rhs, cfg.linear_tol,
-                                  x0_nodal=v_k)
+            v_new = solve_shifted(op, shift, rhs, cfg.linear_tol, x0_nodal=v_k)
             inc = float(np.max(np.abs(v_new - v_k)))
             if first_inc is None:
                 first_inc = inc
@@ -502,6 +538,9 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
             v_k = v_new
             if inc <= cfg.picard_tol or p == 1:
                 break
+    if prev is not None:
+        xi = state.xi + (state.xi - prev.xi) / 3.0 + (2.0 * dt / 3.0) * v_k
+        return FieldState(state.time + dt, xi, v_k)
     dissipated = None
     if forcing is None and state.dissipated is not None:
         dv = v_k - state.v
@@ -514,26 +553,38 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     return FieldState(state.time + dt, state.xi + dt * v_k, v_k, dissipated)
 
 
-def run(model, grid, cfg, state0, forcing=None):
+def run(model, grid, cfg, state0, forcing=None, order=1):
     """March semi_implicit_step to t_end, monitoring the determinant floor.
 
+    order 1 is the first-order scheme; order 2 is SBDF2, whose first step
+    is the first-order one and whose later steps get the previous level on
+    the state they are handed (FieldState.previous).  The kept states carry
+    no previous level.  Order 2 keeps no dissipation ledger, so it needs
+    forcing: ValueError for it without forcing, and for any other order.
     Breakdown and solver failures are recorded in the termination tag, never
     raised; the offending snapshot is kept so diagnostics can see it.
     """
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
+    if order == 2 and forcing is None:
+        raise ValueError("order 2 keeps no dissipation ledger: it needs forcing")
     n_steps = whole_steps(cfg.t_end, cfg.dt)
     states = [state0]
     term = Termination('completed')
-    state = state0
+    state, previous = state0, None
     for k in range(1, n_steps + 1):
         try:
-            state = semi_implicit_step(state, model, grid, cfg, forcing)
+            stepped = semi_implicit_step(replace(state, previous=previous),
+                                         model, grid, cfg, forcing)
         except PicardDivergence:
             term = Termination('picard_divergence', state.time)
             break
         except LinearSolveFailure:
             term = Termination('linear_solver_failure', state.time)
             break
-        state = replace(state, time=k * cfg.dt)
+        if order == 2:
+            previous = state
+        state = replace(stepped, time=k * cfg.dt)
         min_det = float(np.min(np.linalg.det(gradient_field(grid, state.xi))))
         if min_det <= cfg.det_floor:
             states.append(state)
@@ -596,12 +647,13 @@ def manufactured_forcing(model, grid, exact):
     return f
 
 
-def manufactured_run(model, grid, cfg, exact):
-    """Run against a manufactured solution; report max-in-time nodal errors."""
+def manufactured_run(model, grid, cfg, exact, order=1):
+    """Run against a manufactured solution with run's scheme of the given
+    order (1 or 2); report max-in-time nodal errors."""
     state0 = init_state(grid, lambda x: exact.xi(0.0, x),
                         lambda x: exact.xi_t(0.0, x), cfg.det_floor)
     traj = run(model, grid, cfg, state0,
-               forcing=manufactured_forcing(model, grid, exact))
+               forcing=manufactured_forcing(model, grid, exact), order=order)
     nodes = grid.node_positions()
     hvol = grid.spacing ** grid.dim
     l2 = linf = 0.0

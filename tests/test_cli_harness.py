@@ -85,11 +85,11 @@ def test_parse_fills_in_the_convergence_study_defaults():
 
     spec, spatial, temporal = study("command = convergence\n")
     assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end) == (
-        16, 2e-2, 2e-5, 0.1)
+        16, 2e-2, 1e-4, 0.1)
     assert (spatial, temporal) == ([16, 32, 64], [64] * 3)
     spec, spatial, temporal = study("command = convergence\ndim = 2\nlevels = 2\n")
     assert (spec.cells, spec.dt, spec.spatial_dt, spec.conv_t_end) == (
-        8, 2e-2, 2.5e-4, 0.1)
+        8, 2e-2, 1e-3, 0.1)
     assert (spatial, temporal) == ([8, 16], [16] * 2)
     spec, spatial, temporal = study("command = convergence\ncells = 4\ndt = 0.01\n")
     assert (spec.cells, spec.dt, temporal) == (4, 0.01, [16] * 3)
@@ -789,6 +789,19 @@ def test_cmd_convergence_small_case(tmp_path):
     assert float(rep['spatial_rate']) >= 1.9
     assert float(rep['temporal_rate']) >= 0.9
     assert rep['pass'] == 'true'
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cmd_convergence_defaults_pass(tmp_path, dim):
+    # the study's own defaults end to end, spatial levels at second order
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text(f"command = convergence\ndim = {dim}\n")
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = read_report(out / "rates.txt")
+    assert rep['pass'] == 'true'
+    for lv in range(2):
+        assert 1.95 <= float(rep[f'spatial_rate_{lv}']) <= 2.05
 
 
 def test_cmd_convergence_zero_solution_fails(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from viscolab import krylov
+from viscolab import krylov, pde_solver
 from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    ViscosityModel, dissipation_density,
                                    piola_stress,
@@ -915,6 +915,86 @@ def test_manufactured_rest_exact():
     exact = manufactured_default(1, 0.0)
     res = manufactured_run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1), exact)
     assert res.l2 <= 1e-12 and res.linf <= 1e-12
+
+
+def manufactured_start(grid, exact):
+    return init_state(grid, lambda x: exact.xi(0.0, x),
+                      lambda x: exact.xi_t(0.0, x), 1e-3)
+
+
+def test_sbdf2_first_step_is_the_first_order_step(monkeypatch):
+    # order 2 starts with the first-order step, bit for bit, and hands every
+    # later step the previous kept state, itself without a previous level
+    g = build_grid(1, 16)
+    exact = manufactured_default(1, 0.1)
+    forcing = manufactured_forcing(W0_Z0DP, g, exact)
+    cfg = SolverConfig(dt=1e-2, t_end=4e-2)
+    state0 = manufactured_start(g, exact)
+    first = semi_implicit_step(state0, W0_Z0DP, g, cfg, forcing)
+    handed = []
+
+    def step(state, model, grid, cfg, forcing=None):
+        handed.append(state)
+        return semi_implicit_step(state, model, grid, cfg, forcing)
+
+    monkeypatch.setattr(pde_solver, 'semi_implicit_step', step)
+    traj = run(W0_Z0DP, g, cfg, state0, forcing=forcing, order=2)
+    assert traj.termination.kind == 'completed' and len(traj.states) == 5
+    one = traj.states[1]
+    assert one.time == first.time and one.dissipated is first.dissipated is None
+    assert same_bits(one.xi, first.xi) and same_bits(one.v, first.v)
+    assert handed[0].previous is None
+    for k in range(1, 4):
+        assert handed[k].previous is traj.states[k - 1]
+    assert all(st.previous is None for st in traj.states)
+    # from the second step on it is not the first-order scheme
+    order_1 = run(W0_Z0DP, g, cfg, state0, forcing=forcing)
+    assert not np.array_equal(traj.states[2].xi, order_1.states[2].xi)
+
+
+@pytest.mark.parametrize("model,dim,cells,picard_tol", [
+    (W0_Z0DP, 1, 64, 1e-10),
+    (ConstitutiveModel(EnergyModel.w0(), ViscosityModel.zm(1)), 2, 16, 1e-12)])
+def test_sbdf2_temporal_self_convergence(model, dim, cells, picard_tol):
+    # same-grid errors at t = 0.1 against order 2 at an eighth of the finest
+    # step: second order in dt, through the Newton loop for zm(1)
+    g = build_grid(dim, cells)
+    exact = manufactured_default(dim, 0.1)
+    forcing = manufactured_forcing(model, g, exact)
+    state0 = manufactured_start(g, exact)
+
+    def final_xi(dt):
+        cfg = SolverConfig(dt=dt, t_end=0.1, save_every=10 ** 6,
+                           picard_tol=picard_tol, linear_tol=1e-13)
+        traj = run(model, g, cfg, state0, forcing=forcing, order=2)
+        assert traj.termination.kind == 'completed'
+        return traj.states[-1].xi
+
+    ref = final_xi(3.125e-4)
+    errors = [np.sqrt(np.sum((final_xi(dt) - ref) ** 2)) for dt in (1e-2, 5e-3, 2.5e-3)]
+    rates = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all(rates >= 1.9), rates
+
+
+@pytest.mark.parametrize("order,forced", [(2, False), (3, True)])
+def test_run_order_must_be_1_or_2_with_forcing(order, forced):
+    # order 2 keeps no dissipation ledger, so it needs forcing
+    g = build_grid(1, 8)
+    exact = manufactured_default(1, 0.1)
+    forcing = manufactured_forcing(W0_Z0DP, g, exact) if forced else None
+    with pytest.raises(ValueError):
+        run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=1e-2),
+            manufactured_start(g, exact), forcing=forcing, order=order)
+
+
+def test_sbdf2_rest_state_stays_on_the_grid():
+    # the nodes of 10 cells are not dyadic: xi advances by an increment, so
+    # the rest state stays exact; (4 xi^n - xi^(n-1))/3 drifts off it
+    g = build_grid(1, 10)
+    res = manufactured_run(W0_Z0DP, g, SolverConfig(dt=1e-2, t_end=0.1),
+                           manufactured_default(1, 0.0), order=2)
+    assert res.trajectory.termination.kind == 'completed'
+    assert res.l2 == 0.0 and res.linf == 0.0
 
 
 @pytest.mark.parametrize("dim,cells", [(1, 16), (2, 6), (3, 4)])
