@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, SingularMatrix, require_integer
-from .tensor_core import EPS_SINGULAR, frob, rotation_sample, skew, sym
+from .tensor_core import (EPS_SINGULAR, _det, _inv, _polar_rotation,
+                          _singular_values, frob, rotation_sample, skew, sym)
 
 ENERGY_KINDS = ('w0', 'w1', 'w2')
 VISCOSITY_KINDS = ('zm', 'z0prime', 'z0doubleprime')
@@ -140,7 +141,10 @@ def energy(model, f):
     """Stored energy density W(F); +inf where det F <= 0 for w1/w2.
 
     For w1/w2, |(F^T F)^1/2 - Id|^2 = sum_i (s_i - 1)^2 over the singular
-    values s_i of F.  Returns a scalar for a single matrix, an array for a
+    values s_i of F, closed-form in 1D and 2D (`tensor_core`).  The sum of
+    squares keeps its relative accuracy near rest, where the equivalent
+    |F|^2 - 2 sqrt(|F|^2 + 2 |det F|) + 2 cancels to rounding noise and
+    can go negative.  Returns a scalar for a single matrix, an array for a
     batch.
     """
     f = np.asarray(f, dtype=float)
@@ -148,8 +152,8 @@ def energy(model, f):
         dev = np.swapaxes(f, -1, -2) @ f - np.eye(f.shape[-1])
         out = frob(dev, dev)
         return float(out) if out.ndim == 0 else out
-    d = np.linalg.det(f)
-    s = np.linalg.svd(f, compute_uv=False)
+    d = _det(f)
+    s = _singular_values(f)
     base = np.sum((s - 1.0) ** 2, axis=-1)
     pen, _ = _penalty(model, np.where(d > 0.0, d, 1.0))
     out = np.where(d > 0.0, base + pen, np.inf)
@@ -159,28 +163,30 @@ def energy(model, f):
 def piola_stress(model, f):
     """Stress DW(F) in closed form; batched over leading axes.
 
-    w0: 4 F (F^T F - Id).  w1/w2: 2 (F - R) + c(det F) F^-T, where R = U V^T
-    is the polar rotation from the SVD F = U S V^T and c is the factor of
-    `_penalty`.  Raises DomainError where det F <= 0.
+    w0: 4 F (F^T F - Id).  w1/w2: 2 (F - R) + c(det F) F^-T, where R is the
+    polar rotation of F and c is the factor of `_penalty`; R, det F and
+    F^-1 are closed forms in 1D and 2D (`tensor_core`).  Raises DomainError
+    where det F <= 0.
     """
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
         c = np.swapaxes(f, -1, -2) @ f
         return 4.0 * (f @ (c - np.eye(f.shape[-1])))
-    d = np.linalg.det(f)
+    d = _det(f)
     if np.any(d <= 0.0):
         raise DomainError("det F <= 0 outside the energy's smooth domain")
-    u, _, vt = np.linalg.svd(f)
     _, c = _penalty(model, d)
-    gt = np.swapaxes(np.linalg.inv(f), -1, -2)
-    return 2.0 * (f - u @ vt) + c[..., None, None] * gt
+    gt = np.swapaxes(_inv(f, d), -1, -2)
+    return 2.0 * (f - _polar_rotation(f)) + c[..., None, None] * gt
 
 
 def _inv_transpose(f):
-    d = np.linalg.det(f)
+    """(det F, F^-1, F^-T) by the closed forms of `tensor_core` in 1D and
+    2D; raises SingularMatrix where |det F| <= EPS_SINGULAR."""
+    d = _det(f)
     if np.any(np.abs(d) <= EPS_SINGULAR):
         raise SingularMatrix(f"minimum |det F| = {np.min(np.abs(d)):.3e}")
-    g = np.linalg.inv(f)
+    g = _inv(f, d)
     return d, g, np.swapaxes(g, -1, -2)
 
 

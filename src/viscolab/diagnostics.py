@@ -17,6 +17,7 @@ import numpy as np
 from .constitutive import dissipation_density, energy  # noqa: F401
 from .errors import MismatchedSampling
 from .pde_solver import gradient_field
+from .tensor_core import _det
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def min_det_series(traj, grid):
     """(time, minimum cell determinant) per snapshot."""
     out = []
     for st in traj.states:
-        dets = np.linalg.det(gradient_field(grid, st.xi))
+        dets = _det(gradient_field(grid, st.xi))
         out.append((st.time, float(np.min(dets))))
     return out
 

@@ -59,6 +59,7 @@ from .constitutive import (dissipation_density, piola_stress, viscous_response,
 from .errors import (BoundaryMismatch, Interpenetration, InvalidConfig,
                      LinearSolveFailure, PicardDivergence, RangeError,
                      require_integer)
+from .tensor_core import _det
 
 CLAMP_TOL = 1e-10
 STEP_TOL = 1e-9
@@ -226,7 +227,7 @@ def init_state(grid, xi0, xi1, det_floor):
         raise BoundaryMismatch(f"boundary violates clamping by {mism:.3e}")
     xi[bmask] = x[bmask]
     v[bmask] = 0.0
-    dets = np.linalg.det(gradient_field(grid, xi))
+    dets = _det(gradient_field(grid, xi))
     if np.min(dets) <= det_floor:
         raise Interpenetration(
             f"min cell det = {np.min(dets):.3e} <= floor {det_floor:.3e}")
@@ -585,7 +586,7 @@ def run(model, grid, cfg, state0, forcing=None, order=1):
         if order == 2:
             previous = state
         state = replace(stepped, time=k * cfg.dt)
-        min_det = float(np.min(np.linalg.det(gradient_field(grid, state.xi))))
+        min_det = float(np.min(_det(gradient_field(grid, state.xi))))
         if min_det <= cfg.det_floor:
             states.append(state)
             term = Termination('det_floor_hit', state.time)

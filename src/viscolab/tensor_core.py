@@ -3,6 +3,15 @@
 Matrices are plain numpy arrays of shape (n, n) with n in {1, 2, 3}.  Most
 routines broadcast over leading axes, so they operate on whole fields of
 matrices at once.
+
+The private kernels `_det`, `_inv`, `_polar_rotation` and
+`_singular_values` are closed forms for n = 1 and 2, elementwise over the
+field, where a batched LAPACK call on 2x2 stacks costs about 100 times the
+arithmetic; for n = 3 each delegates to np.linalg unchanged.  In 1D the
+inverse, singular value and rotation equal np.linalg's bit for bit, and
+the determinant is the entry itself, which np.linalg.det (through
+exp(log|det|)) misses by an ulp or two for some entries.  Unlike LAPACK, the 2D
+products overflow for entries beyond about 1e154.
 """
 
 import numpy as np
@@ -30,6 +39,76 @@ def frob(a, b):
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape[-2:]} vs {b.shape[-2:]}")
     return np.einsum('...ij,...ij->...', a, b)
+
+
+def _det(a):
+    """Determinant of (..., n, n) matrices: a in 1D, a00 a11 - a01 a10 in 2D."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0].copy()
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
+
+
+def _inv(a, d):
+    """Inverse of (..., n, n) matrices from their determinant d = _det(a):
+    1/a in 1D, the adjugate over d in 2D (C-contiguous, as np.linalg.inv
+    returns it)."""
+    n = a.shape[-1]
+    if n == 1:
+        return 1.0 / a
+    if n == 2:
+        g = np.empty(a.shape)
+        np.divide(a[..., 1, 1], d, out=g[..., 0, 0])
+        np.divide(-a[..., 0, 1], d, out=g[..., 0, 1])
+        np.divide(-a[..., 1, 0], d, out=g[..., 1, 0])
+        np.divide(a[..., 0, 0], d, out=g[..., 1, 1])
+        return g
+    return np.linalg.inv(a)
+
+
+def _polar_rotation(f):
+    """Rotation R of the polar decomposition F = R U, for det F > 0.
+
+    In 2D R = [[c, -s], [s, c]] with (c, s) = (f00 + f11, f10 - f01)/p and
+    p = hypot(f00 + f11, f10 - f01): the normalized conformal part of F
+    (Higham 1986).  In 1D R = 1; in 3D R = U V^T from the SVD F = U S V^T.
+    """
+    n = f.shape[-1]
+    if n == 1:
+        return np.ones_like(f)
+    if n == 2:
+        c = f[..., 0, 0] + f[..., 1, 1]
+        s = f[..., 1, 0] - f[..., 0, 1]
+        p = np.hypot(c, s)
+        r = np.empty_like(f)
+        np.divide(c, p, out=r[..., 0, 0])
+        np.divide(s, p, out=r[..., 1, 0])
+        np.negative(r[..., 1, 0], out=r[..., 0, 1])
+        r[..., 1, 1] = r[..., 0, 0]
+        return r
+    u, _, vt = np.linalg.svd(f)
+    return u @ vt
+
+
+def _singular_values(f):
+    """Singular values of (..., n, n) matrices as (..., n), largest first.
+
+    In 2D s = (p + q)/2 and |p - q|/2, with p = hypot(f00 + f11, f10 - f01)
+    and q = hypot(f00 - f11, f01 + f10); in 1D |a|.
+    """
+    n = f.shape[-1]
+    if n == 1:
+        return np.abs(f[..., 0])
+    if n == 2:
+        p = np.hypot(f[..., 0, 0] + f[..., 1, 1], f[..., 1, 0] - f[..., 0, 1])
+        q = np.hypot(f[..., 0, 0] - f[..., 1, 1], f[..., 0, 1] + f[..., 1, 0])
+        s = np.empty(f.shape[:-1])
+        np.multiply(p + q, 0.5, out=s[..., 0])
+        np.multiply(np.abs(p - q), 0.5, out=s[..., 1])
+        return s
+    return np.linalg.svd(f, compute_uv=False)
 
 
 def rotation_sample(dim, rng, count=None):

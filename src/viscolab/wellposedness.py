@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DegenerateQ, DomainError, RangeError, SingularMatrix,
                      Unsupported, require_integer)
-from .tensor_core import EPS_SINGULAR, frob, sym
+from .tensor_core import EPS_SINGULAR, _det, frob, sym
 # viscous_tangent_q stays bound here: perfbench/tracing.py wraps it by this name
 from .constitutive import viscous_tangent_field, viscous_tangent_q  # noqa: F401
 
@@ -472,7 +472,7 @@ def check_initial_data(model, grid_f0, grid_q0):
         raise ValueError("expected matching (nodes, n, n) fields")
     if f0.shape[0] == 0:
         raise ValueError("empty field")
-    dets = np.linalg.det(f0)
+    dets = _det(f0)
     bad = np.nonzero(dets <= 0.0)[0]
     if bad.size:
         raise DomainError(f"det F0 = {dets[bad[0]]:.3e} <= 0 at node {int(bad[0])}")

@@ -10,7 +10,7 @@ from viscolab.constitutive import (ConstitutiveModel, EnergyModel,
                                    viscous_stress, viscous_tangent_field,
                                    viscous_tangent_q)
 from viscolab.errors import DomainError, RangeError
-from viscolab.tensor_core import frob, random_rotation, skew, sym
+from viscolab.tensor_core import _det, _inv, frob, random_rotation, skew, sym
 
 ALL_VISCOSITIES = [ViscosityModel.z0doubleprime(), ViscosityModel.z0prime(),
                    ViscosityModel.zm(0), ViscosityModel.zm(1), ViscosityModel.zm(2)]
@@ -253,11 +253,13 @@ def test_tangent_euler_identity(model, degree, dim):
 
 def column_tangent(model, f, q):
     # oracle: the zm tangent built column by column before the closed form,
-    # column k n + l being sum_j A^j sym(E_kl G) A^(2m-j) G^T
+    # column k n + l being sum_j A^j sym(E_kl G) A^(2m-j) G^T.  G is the
+    # package's inverse, so the 1e-15 bound below isolates the tangent's
+    # summation order from the ulp between it and np.linalg.inv
     f = np.asarray(f, dtype=float)
     n = f.shape[-1]
     basis = np.eye(n * n).reshape(n * n, n, n)
-    g = np.linalg.inv(f)
+    g = _inv(f, _det(f))
     gt = np.swapaxes(g, -1, -2)
     a = sym(np.asarray(q, dtype=float) @ g)
     powers = [np.broadcast_to(np.eye(n), a.shape)]
