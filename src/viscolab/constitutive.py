@@ -137,20 +137,42 @@ def _penalty(model, d):
     return pen, (c if model.kind == 'w1' else -c / d)
 
 
+def _w0_strain(f):
+    """E = F^T F - Id.  In 1D and 2D entry by entry, where a batched 2x2
+    matmul costs several times the arithmetic; by matmul otherwise."""
+    n = f.shape[-1]
+    if n == 1:
+        return f * f - 1.0
+    if n != 2:
+        return np.swapaxes(f, -1, -2) @ f - np.eye(n)
+    a, b, c, d = f[..., 0, 0], f[..., 0, 1], f[..., 1, 0], f[..., 1, 1]
+    e = np.empty(f.shape)
+    e[..., 0, 0] = a * a + c * c - 1.0
+    e[..., 0, 1] = a * b + c * d
+    e[..., 1, 0] = e[..., 0, 1]
+    e[..., 1, 1] = b * b + d * d - 1.0
+    return e
+
+
 def energy(model, f):
     """Stored energy density W(F); +inf where det F <= 0 for w1/w2.
 
-    For w1/w2, |(F^T F)^1/2 - Id|^2 = sum_i (s_i - 1)^2 over the singular
-    values s_i of F, closed-form in 1D and 2D (`tensor_core`).  The sum of
-    squares keeps its relative accuracy near rest, where the equivalent
-    |F|^2 - 2 sqrt(|F|^2 + 2 |det F|) + 2 cancels to rounding noise and
-    can go negative.  Returns a scalar for a single matrix, an array for a
-    batch.
+    For w0, |E|^2 with E = F^T F - Id (`_w0_strain`), summed entry by
+    entry in 2D.  For w1/w2, |(F^T F)^1/2 - Id|^2 = sum_i (s_i - 1)^2
+    over the singular values s_i of F, closed-form in 1D and 2D
+    (`tensor_core`).  The sum of squares keeps its relative accuracy near
+    rest, where the equivalent |F|^2 - 2 sqrt(|F|^2 + 2 |det F|) + 2
+    cancels to rounding noise and can go negative.  Returns a scalar for a
+    single matrix, an array for a batch.
     """
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
-        dev = np.swapaxes(f, -1, -2) @ f - np.eye(f.shape[-1])
-        out = frob(dev, dev)
+        e = _w0_strain(f)
+        if f.shape[-1] == 2:
+            e00, e01, e11 = e[..., 0, 0], e[..., 0, 1], e[..., 1, 1]
+            out = e00 * e00 + 2.0 * (e01 * e01) + e11 * e11
+        else:
+            out = frob(e, e)
         return float(out) if out.ndim == 0 else out
     d = _det(f)
     s = _singular_values(f)
@@ -163,15 +185,24 @@ def energy(model, f):
 def piola_stress(model, f):
     """Stress DW(F) in closed form; batched over leading axes.
 
-    w0: 4 F (F^T F - Id).  w1/w2: 2 (F - R) + c(det F) F^-T, where R is the
-    polar rotation of F and c is the factor of `_penalty`; R, det F and
-    F^-1 are closed forms in 1D and 2D (`tensor_core`).  Raises DomainError
-    where det F <= 0.
+    w0: 4 F E with E = F^T F - Id (`_w0_strain`), entry by entry in 1D and
+    2D.  w1/w2: 2 (F - R) + c(det F) F^-T, where R is the polar rotation of
+    F and c is the factor of `_penalty`; R, det F and F^-1 are closed forms
+    in 1D and 2D (`tensor_core`).  Raises DomainError where det F <= 0.
     """
     f = np.asarray(f, dtype=float)
     if model.kind == 'w0':
-        c = np.swapaxes(f, -1, -2) @ f
-        return 4.0 * (f @ (c - np.eye(f.shape[-1])))
+        e = _w0_strain(f)
+        if f.shape[-1] == 1:
+            return 4.0 * (f * e)
+        if f.shape[-1] != 2:
+            return 4.0 * (f @ e)
+        # F E one column at a time, from the columns of F: E is symmetric
+        e00, e01, e11 = e[..., 0, 0, None], e[..., 0, 1, None], e[..., 1, 1, None]
+        fe = np.empty(f.shape)
+        fe[..., 0] = f[..., 0] * e00 + f[..., 1] * e01
+        fe[..., 1] = f[..., 0] * e01 + f[..., 1] * e11
+        return 4.0 * fe
     d = _det(f)
     if np.any(d <= 0.0):
         raise DomainError("det F <= 0 outside the energy's smooth domain")
@@ -222,7 +253,9 @@ def viscous_response(model, f):
 
     For zm with m >= 1 (degree > 1).  F^-1 is taken once, here; the returned
     respond(q) gives (Z(F, Q), M) with M the (..., n^2, n^2) tangent in the
-    row-major vectorization of `viscous_tangent_field`, C-contiguous.  With
+    row-major vectorization of `viscous_tangent_field`, C-contiguous.
+    respond.split(q) gives (Z(F, Q), tangent) instead, where tangent() gives
+    M, so a caller that needs Z first pays for M only when it asks.  With
     G = F^-1, A = sym(Q G) and P_j = A^j, both come from one list of powers:
     Z = P_2m A G^T, multiplied in the order `viscous_stress` uses, so Z is
     bit-identical to it, and
@@ -245,7 +278,7 @@ def viscous_response(model, f):
     half_g = 0.5 * g[..., None, :, :]
     gt_c = np.ascontiguousarray(gt)[..., None, :, :]
 
-    def respond(q):
+    def split(q):
         a = sym(np.asarray(q, dtype=float) @ g)
         lead = a.shape[:-2]
         # x[..., 0, j] = P_j and x[..., 1, j] = P_j G^T
@@ -255,21 +288,29 @@ def viscous_response(model, f):
         for j in range(2, top + 1):
             np.matmul(x[..., 0, j - 1, :, :], a, out=x[..., 0, j, :, :])
         z = x[..., 0, top, :, :] @ a @ gt
-        np.matmul(x[..., 0, :, :, :], gt_c, out=x[..., 1, :, :, :])
-        # y[..., 0, j] = G P_j G^T / 2 and y[..., 1, j] = P_j G^T / 2
-        y = np.empty_like(x)
-        np.matmul(half_g, x[..., 1, :, :, :], out=y[..., 0, :, :, :])
-        np.multiply(x[..., 1, :, :, :], 0.5, out=y[..., 1, :, :, :])
-        # the sums over j of the outer products of x_j and y_(2m-j)
-        k = n * n
-        t = (np.swapaxes(x.reshape(lead + (2, top + 1, k)), -1, -2)
-             @ y[..., ::-1, :, :].reshape(lead + (2, top + 1, k)))
-        t = t.reshape(-1, 2, n, n, n, n)
-        m = np.add(t[:, 0].transpose(0, 1, 4, 2, 3),    # (a, k, l, b)
-                   t[:, 1].transpose(0, 1, 4, 3, 2),    # (a, l, k, b)
-                   order='C')
-        return z, m.reshape(lead + (k, k))
 
+        def tangent():
+            np.matmul(x[..., 0, :, :, :], gt_c, out=x[..., 1, :, :, :])
+            # y[..., 0, j] = G P_j G^T / 2 and y[..., 1, j] = P_j G^T / 2
+            y = np.empty_like(x)
+            np.matmul(half_g, x[..., 1, :, :, :], out=y[..., 0, :, :, :])
+            np.multiply(x[..., 1, :, :, :], 0.5, out=y[..., 1, :, :, :])
+            # the sums over j of the outer products of x_j and y_(2m-j)
+            k = n * n
+            t = (np.swapaxes(x.reshape(lead + (2, top + 1, k)), -1, -2)
+                 @ y[..., ::-1, :, :].reshape(lead + (2, top + 1, k)))
+            t = t.reshape(-1, 2, n, n, n, n)
+            m = np.add(t[:, 0].transpose(0, 1, 4, 2, 3),    # (a, k, l, b)
+                       t[:, 1].transpose(0, 1, 4, 3, 2),    # (a, l, k, b)
+                       order='C')
+            return m.reshape(lead + (k, k))
+        return z, tangent
+
+    def respond(q):
+        z, tangent = split(q)
+        return z, tangent()
+
+    respond.split = split
     respond.dissipation = lambda q: frob(_zm_stress(model.m, g, gt, q), q)
     return respond
 

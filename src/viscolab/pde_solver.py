@@ -25,17 +25,22 @@ fall off quadratically (the picard_* keys, PicardDivergence and the
 'picard_divergence' termination keep their names).  Every catalogue stress
 is homogeneous of degree p in the velocity gradient, so the tangent maps
 grad v^k to p Z(F, grad v^k) and the Newton right-hand side needs only
--(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1.  For
-p > 1 (zm, m >= 1) one constitutive pass per iterate gives Z and the
-tangent together, from a viscous_response built once per step, which takes
-F^-1 once for the step's frozen F, the dissipation ledger's Z included.
-The frozen tangent is symmetric positive semidefinite, so every shifted
-operator alpha I + L is symmetric positive definite, and solve_shifted, the
-one linear solve of the time step and of the heat extension, assembles it
-as one CSR matrix and runs conjugate gradients; a solve that does not
-converge ends the run as 'linear_solver_failure'.  The CG loop is the package's own (krylov.cg,
-bound here as spla): scipy.sparse.linalg.cg's stopping rule and iterates,
-without importing scipy.sparse.linalg.  The heat extension takes run's
+-(p - 1) div Z(F, grad v^k) beyond the fixed terms: nothing for p = 1, whose
+one solve at linear_tol is the step.  For p > 1 (zm, m >= 1) the loop is an
+inexact Newton method on a viscous_response built once per step, which
+takes F^-1 once for the step's frozen F, the dissipation ledger's Z
+included.  Each iterate takes Z first and, by the same Euler identity, the
+step residual R = A_k v^k - rhs_k for free; it stops when |R| < linear_tol
+|rhs_k|, before building the tangent, and otherwise solves to the
+Eisenstat-Walker (1996) choice 2 tolerance with eta_0 = _ETA0 = 1e-4 (see
+_newton).  The frozen tangent is symmetric positive semidefinite, so every
+shifted operator alpha I + L is symmetric positive definite, and
+solve_shifted, the one linear solve of the time step and of the heat
+extension, assembles it as one CSR matrix and runs conjugate gradients; a
+solve that does not converge ends the run as 'linear_solver_failure'.  The
+CG loop is the package's own (krylov.cg, bound here as spla):
+scipy.sparse.linalg.cg's stopping rule and iterates, without importing
+scipy.sparse.linalg.  The heat extension takes run's
 SolverConfig and initial state, so it is sampled at the run's times.
 run(..., order=2) steps forced runs with SBDF2 (Ascher, Ruuth & Wetton
 1995): a first-order first step, then BDF2 in the velocity with the
@@ -64,6 +69,7 @@ from .tensor_core import _det
 CLAMP_TOL = 1e-10
 STEP_TOL = 1e-9
 SCATTER_BLOCK = 512     # cells per block of the local scatter in assembly
+_ETA0 = 1e-4            # the Newton loop's first and largest forcing term
 
 
 @dataclass(frozen=True)
@@ -446,6 +452,54 @@ def solve_shifted(op, alpha, rhs_nodal, tol, x0_nodal=None):
     return _from_interior(grid, x)
 
 
+def _norm(vec):
+    # |vec| as krylov.cg measures |b|, so the residual test is cg's own
+    return math.sqrt(np.dot(vec, vec))
+
+
+def _newton(grid, cfg, shift, rhs_fixed, v_k, respond, p):
+    """semi_implicit_step's inexact Newton loop for degree p > 1, from
+    v^0 = v_k; returns the step's velocity.
+
+    The residual test is CG's own before its first iteration at x0 = v^k,
+    so it drops exactly the solves that would take no CG iteration.  Every
+    solve that runs ends at |A_k v - rhs_k| < max(linear_tol |rhs_k|,
+    eta_k |R_k|), the inexact Newton condition.
+    """
+    first_inc = r_prev = None
+    for _ in range(cfg.picard_max):
+        z, tangent = respond.split(gradient_field(grid, v_k))
+        div_z = stress_divergence(grid, z)
+        rhs = rhs_fixed - (p - 1) * div_z
+        if not np.all(np.isfinite(rhs)):
+            raise PicardDivergence("non-finite right-hand side")
+        b_norm = _norm(_interior_vec(grid, rhs))
+        r_norm = _norm(_interior_vec(grid, shift * v_k - rhs_fixed - div_z))
+        if r_norm < cfg.linear_tol * b_norm:
+            break
+        eta = _ETA0
+        if r_prev:
+            ratio = r_norm / r_prev
+            eta = min(_ETA0, 0.9 * ratio * ratio)
+        # a zero right-hand side solves to exact zeros at linear_tol
+        rtol = cfg.linear_tol
+        if b_norm > 0.0:
+            rtol = max(rtol, eta * r_norm / b_norm)
+        op = ViscousOperator(grid, tangent())
+        del tangent     # frees the stack of powers before the solve
+        v_new = solve_shifted(op, shift, rhs, rtol, x0_nodal=v_k)
+        inc = float(np.max(np.abs(v_new - v_k)))
+        if first_inc is None:
+            first_inc = inc
+        elif inc > 10.0 * max(first_inc, 1e-300):
+            raise PicardDivergence(
+                f"increment grew from {first_inc:.3e} to {inc:.3e}")
+        v_k, r_prev = v_new, r_norm
+        if inc <= cfg.picard_tol and rtol == cfg.linear_tol:
+            break
+    return v_k
+
+
 def semi_implicit_step(state, model, grid, cfg, forcing=None):
     """One step of the frozen-tangent scheme: first order (semi-implicit
     Euler) from a state without a previous level, SBDF2 from one with it.
@@ -456,20 +510,27 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
         (v_new - v^n)/dt - div(M^k grad v_new)
             = div(DW(F)) + div(Z(F, grad v^k) - M^k grad v^k) + f,
 
-    refreezing M^k = D_Q Z(F, grad v^k) between iterations, until the sup
-    increment drops below picard_tol or picard_max solves were spent.  This
-    is Newton's method on the step residual
-    (v - v^n)/dt - div(DW(F)) - div Z(F, grad v) - f, whose exact Jacobian
-    at v^k is I/dt - div(M^k grad), so a converging step's increments fall
-    off quadratically.  Z has degree p in Q (ViscosityModel.degree), so by
-    Euler's theorem M^k grad v^k = p Z(F, grad v^k) and the right-hand side
-    is built as v^n/dt + div(DW(F)) + f - (p - 1) div Z(F, grad v^k).  For
-    p > 1 the step builds viscous_response(model.viscosity, F) once, so F^-1
-    is taken once per step, and each iterate makes one call of it for both
-    Z(F, grad v^k) and M^k.  For p = 1 the iterate takes M^k from
-    viscous_tangent_field and evaluates no stress, and the first iterate is
-    already the solution, so the loop stops after one solve.  Then xi
-    advances by dt * v_new.  An unforced step adds
+    refreezing M^k = D_Q Z(F, grad v^k) between iterations.  This is
+    Newton's method on the step residual
+    R(v) = (v - v^n)/dt - div(DW(F)) - div Z(F, grad v) - f, whose exact
+    Jacobian at v^k is I/dt - div(M^k grad), so a converging step's
+    increments fall off quadratically.  Z has degree p in Q
+    (ViscosityModel.degree), so by Euler's theorem
+    M^k grad v^k = p Z(F, grad v^k) and the right-hand side is built as
+    v^n/dt + div(DW(F)) + f - (p - 1) div Z(F, grad v^k).  For p = 1 the
+    step takes M^0 from viscous_tangent_field, evaluates no stress, and its
+    one solve at linear_tol is already the solution.  For p > 1 the step
+    builds viscous_response(model.viscosity, F) once, so F^-1 is taken once
+    per step, and runs the inexact Newton loop of _newton: each iterate
+    takes Z(F, grad v^k) from respond.split and with it R(v^k) on the
+    interior dofs, which equals A_k v^k - rhs_k, for one axpy and no
+    matvec.  If |R| < linear_tol |rhs_k| the step ends there, with no
+    tangent, assembly or solve.  Otherwise the iterate builds M^k and CG
+    runs to rtol = max(linear_tol, eta_k |R_k| / |rhs_k|), with
+    eta_k = min(eta_0, 0.9 (|R_k| / |R_(k-1)|)^2) (Eisenstat & Walker
+    1996, choice 2) and eta_0 = 1e-4.  An increment below picard_tol ends
+    the step only after a solve at linear_tol; picard_max bounds the
+    solves.  Then xi advances by dt * v_new.  An unforced step adds
     dt h^d sum_cells Z(F, G v_new):G v_new and the numerical dissipation
     1/2 h^d sum_nodes |v_new - v^n|^2 to the dissipation ledger (for p > 1
     with Z from the step's viscous_response, so from the same F^-1); a
@@ -490,7 +551,8 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
     A right-hand side that is not finite (an overflowing elastic stress,
     forcing or Z) raises PicardDivergence before its solve: CG's stopping
     test is never true on NaN, so it would spend its whole iteration cap
-    and report a linear-solver failure instead.
+    and report a linear-solver failure instead.  So does an increment that
+    grows past 10 times the step's first.
     """
     dt = cfg.dt
     prev = state.previous
@@ -513,32 +575,18 @@ def semi_implicit_step(state, model, grid, cfg, forcing=None):
 
     p = model.viscosity.degree
     respond = viscous_response(model.viscosity, f_cells) if p > 1 else None
-    v_k = state.v
-    first_inc = None
     # an overflowing nonlinear term ends the step below as PicardDivergence,
     # not also as numpy's floating-point warnings
     with np.errstate(over='ignore', invalid='ignore'):
-        for _ in range(cfg.picard_max):
-            grad_vk = gradient_field(grid, v_k)
-            if p > 1:
-                z, m_k = respond(grad_vk)
-                rhs = rhs_fixed - (p - 1) * stress_divergence(grid, z)
-            else:
-                rhs = rhs_fixed
-                m_k = viscous_tangent_field(model.viscosity, f_cells, grad_vk)
-            if not np.all(np.isfinite(rhs)):
+        if p > 1:
+            v_k = _newton(grid, cfg, shift, rhs_fixed, state.v, respond, p)
+        else:
+            if not np.all(np.isfinite(rhs_fixed)):
                 raise PicardDivergence("non-finite right-hand side")
-            op = ViscousOperator(grid, m_k)
-            v_new = solve_shifted(op, shift, rhs, cfg.linear_tol, x0_nodal=v_k)
-            inc = float(np.max(np.abs(v_new - v_k)))
-            if first_inc is None:
-                first_inc = inc
-            elif inc > 10.0 * max(first_inc, 1e-300):
-                raise PicardDivergence(
-                    f"increment grew from {first_inc:.3e} to {inc:.3e}")
-            v_k = v_new
-            if inc <= cfg.picard_tol or p == 1:
-                break
+            m = viscous_tangent_field(model.viscosity, f_cells,
+                                      gradient_field(grid, state.v))
+            v_k = solve_shifted(ViscousOperator(grid, m), shift, rhs_fixed,
+                                cfg.linear_tol, x0_nodal=state.v)
     if prev is not None:
         xi = state.xi + (state.xi - prev.xi) / 3.0 + (2.0 * dt / 3.0) * v_k
         return FieldState(state.time + dt, xi, v_k)

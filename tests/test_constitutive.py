@@ -79,6 +79,42 @@ def test_piola_stress_w0_examples():
                        np.diag([24.0, 0.0]))
 
 
+def _w0_by_matmul(f):
+    # the matmul route: E = F^T F - Id, then 4 F E and |E|^2
+    e = np.swapaxes(f, -1, -2) @ f - np.eye(f.shape[-1])
+    return 4.0 * (f @ e), frob(e, e)
+
+
+def test_w0_2d_entrywise_within_ulps_of_matmul():
+    # the entrywise forms sum the same products in another order.  Near
+    # rest E cancels, so the error is measured against the size of the
+    # terms: 4 |F| (|F|^T |F| + Id) for the stress, and W plus
+    # sum |E| (|F|^T |F| + Id) for the energy.  The bounds are about twice
+    # the largest error seen on 1e5 samples (2.2 and 1.5 ulps)
+    rng = np.random.default_rng(33)
+    batches = (random_deformations(2, 4096, rng),
+               np.eye(2) + 1e-8 * rng.standard_normal((4096, 2, 2)),
+               rng.uniform(-3.0, 3.0, (4096, 2, 2)))
+    eps = np.finfo(float).eps
+    for f in batches:
+        stress, w = _w0_by_matmul(f)
+        af = np.abs(f)
+        terms = np.swapaxes(af, -1, -2) @ af + np.eye(2)
+        err = np.abs(piola_stress(EnergyModel.w0(), f) - stress)
+        assert np.max(err / (4.0 * (af @ terms))) <= 4 * eps
+        e = np.abs(np.swapaxes(f, -1, -2) @ f - np.eye(2))
+        scale = w + np.sum(e * terms, axis=(-2, -1))
+        assert np.max(np.abs(energy(EnergyModel.w0(), f) - w) / scale) <= 3 * eps
+
+
+def test_w0_1d_and_3d_are_the_matmul_route_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for f in (rng.uniform(0.1, 3.0, (4096, 1, 1)), random_deformations(3, 256, rng)):
+        stress, w = _w0_by_matmul(f)
+        assert np.array_equal(piola_stress(EnergyModel.w0(), f), stress)
+        assert np.array_equal(energy(EnergyModel.w0(), f), w)
+
+
 @pytest.mark.parametrize("model", [EnergyModel.w0(), EnergyModel.w1(),
                                    EnergyModel.w2()])
 def test_piola_stress_directional_derivative(model):
